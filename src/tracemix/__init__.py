@@ -3,7 +3,7 @@ non-parametric temporal count mixtures, then preload a simulated cache."""
 
 from .models import (Hyperparams, MVPParams, SMVPParams, log_F, log_F_hat,
                      log_poisson_vec, mu_from_params, sample_mvp, sample_smvp)
-from .ingest import (BinningConfig, CountVectorSequence, TraceEvent,
+from .ingest import (BinningConfig, CountVectorSequence, Trace, TraceEvent,
                      aggregate, parse_trace, split_learn_operate)
 from .gibbs import (ALL_KINDS, FitConfig, GibbsState, heldout_loglik,
                     init_state, run_gibbs)

@@ -1,10 +1,18 @@
 """Trace-replay cache simulation: plain LRU and the preloading variant.
 
-Both simulators account one hit or miss per covered block of each read
-request; writes bypass the read cache entirely.  The preloading simulator
-additionally closes each time slice by feeding the aggregated counts to the
-decoder and inserting the predicted cluster's blocks (in ascending id order,
-uninstrumented) before the next slice's requests arrive.
+Both simulators replay the columns of an `ingest.Trace` (a list of
+`TraceEvent` is converted once) and account one hit or miss per covered
+block of each read request; writes bypass the read cache entirely.  The
+preloading simulator additionally closes each time slice by feeding the
+aggregated counts to the decoder and inserting the predicted cluster's
+blocks (in ascending id order, uninstrumented) before the next slice's
+requests arrive.
+
+Inserting ascending distinct blocks b_1 < ... < b_n into an LRU cache of
+capacity C leaves exactly the last min(n, C) of them, in that order, whatever
+the cache held before.  So a preload places only the top C ids of the
+predicted set, which is sorted once per run; its volume and the preload log
+still count the whole set.
 """
 
 import math
@@ -15,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import BinningConfig
+from .ingest import BinningConfig, as_trace
 from . import predict
 
 
@@ -37,11 +45,7 @@ class LRUCache:
     def access(self, block) -> bool:
         """Service one request: True on hit (refreshes recency), False on miss
         (inserts the block, evicting the LRU victim when full)."""
-        if block in self._blocks:
-            self._blocks.move_to_end(block)
-            return True
-        self.insert(block)
-        return False
+        return self.access_all((block,)) == 1
 
     def insert(self, block):
         """Place a block without recording a hit or miss."""
@@ -51,6 +55,33 @@ class LRUCache:
         if len(self._blocks) >= self.capacity:
             self._blocks.popitem(last=False)
         self._blocks[block] = None
+
+    def insert_distinct(self, blocks):
+        """insert() each of a sequence of distinct blocks in turn.  When there
+        are at least capacity of them, the last capacity blocks make up the
+        whole cache afterwards, least recent first, so only they are placed."""
+        if len(blocks) >= self.capacity:
+            self._blocks = OrderedDict.fromkeys(blocks[len(blocks) - self.capacity:])
+            return
+        for block in blocks:
+            self.insert(block)
+
+    def access_all(self, blocks, outcomes=None) -> int:
+        """access() each block in turn; return the number of hits and, when
+        outcomes is a list, append each block's hit flag to it."""
+        cache, capacity, hits = self._blocks, self.capacity, 0
+        for block in blocks:
+            hit = block in cache
+            if hit:
+                cache.move_to_end(block)
+                hits += 1
+            else:
+                if len(cache) >= capacity:
+                    cache.popitem(last=False)
+                cache[block] = None
+            if outcomes is not None:
+                outcomes.append(hit)
+        return hits
 
 
 @dataclass
@@ -89,31 +120,18 @@ def capacity_from_trace(events, fraction) -> int:
     touched), never below one block."""
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
-    footprint = set()
-    for e in events:
-        footprint.update(e.block_ids)
-    return max(1, math.ceil(fraction * len(footprint)))
+    ids, _ = as_trace(events).block_ids()
+    return max(1, math.ceil(fraction * len(np.unique(ids))))
 
 
 def simulate_baseline(events, capacity, record_outcomes=False) -> SimReport:
     """Replay the read requests against a plain LRU cache."""
     started = time.monotonic()
-    cache = LRUCache(capacity)
-    hits = misses = 0
+    ids, _ = as_trace(events).reads().block_ids()
     outcomes = [] if record_outcomes else None
-    for e in events:
-        if e.op != "read":
-            continue
-        for block in e.block_ids:
-            if cache.access(block):
-                hits += 1
-                if outcomes is not None:
-                    outcomes.append(True)
-            else:
-                misses += 1
-                if outcomes is not None:
-                    outcomes.append(False)
-    return SimReport.from_counts(hits, misses, wall_clock=time.monotonic() - started,
+    hits = LRUCache(capacity).access_all(ids.tolist(), outcomes)
+    return SimReport.from_counts(hits, len(ids) - hits,
+                                 wall_clock=time.monotonic() - started,
                                  outcomes=outcomes)
 
 
@@ -125,55 +143,42 @@ def simulate_preloading(events, model, access_map, binning: BinningConfig,
     The just-completed slice is aggregated with the same binning the model was
     trained under, fed to the decoder, and the predicted cluster's blocks are
     inserted in ascending id order.  Preload insertions are not counted as
-    hits or misses.  An initial preload fires before any slice completes.
+    hits or misses.  An initial preload fires before any slice completes, and
+    every request, writes included, closes the slices before its own.
     """
     if model.M != binning.M:
         raise ConfigError(
             f"model was fitted with {model.M} bins but binning has {binning.M}")
     started = time.monotonic()
+    trace = as_trace(events, binning.block_size)
+    reads = trace.reads()
+    n_slices = trace.slice_count(binning.nu)
+    X = binning.slice_counts(reads, n_slices)
+    ids, bounds = reads.blocks_by_slice(binning.nu, n_slices)
+    blocks = ids.tolist()
     cache = LRUCache(capacity)
     decoder = predict.new_decoder(model)
-    hits = misses = 0
+    hits = 0
     outcomes = [] if record_outcomes else None
     preload_volumes = []
+    ascending = {}  # predicted set -> its ids in ascending order
 
     def preload():
-        blocks = predict.predict_blocks(decoder, model, access_map)
-        for block in sorted(blocks):
-            cache.insert(block)
-        preload_volumes.append(len(blocks))
+        predicted = predict.predict_blocks(decoder, model, access_map)
+        if predicted not in ascending:
+            ascending[predicted] = sorted(predicted)
+        cache.insert_distinct(ascending[predicted])
+        preload_volumes.append(len(predicted))
         if preload_log is not None:
-            preload_log.append(sorted(blocks))
+            preload_log.append(ascending[predicted])
 
-    def close_slice(counts):
-        predict.decoder_observe(decoder, model, counts)
-        preload()
-
-    current_slice = 0
-    counts = np.zeros(binning.M, dtype=np.int64)
     preload()  # before any slice completes, from the initial distribution
-    for e in events:
-        e_slice = int(e.timestamp // binning.nu)
-        while current_slice < e_slice:
-            close_slice(counts)
-            counts = np.zeros(binning.M, dtype=np.int64)
-            current_slice += 1
-        if e.op != "read":
-            continue
-        if binning.count_per_block:
-            for block in e.block_ids:
-                counts[binning.bin_of(block * binning.block_size)] += 1
-        else:
-            counts[binning.bin_of(e.offset)] += 1
-        for block in e.block_ids:
-            if cache.access(block):
-                hits += 1
-                if outcomes is not None:
-                    outcomes.append(True)
-            else:
-                misses += 1
-                if outcomes is not None:
-                    outcomes.append(False)
-    return SimReport.from_counts(hits, misses, preload_volumes=preload_volumes,
+    for s in range(n_slices):
+        if s:
+            predict.decoder_observe(decoder, model, X[s - 1])
+            preload()
+        hits += cache.access_all(blocks[bounds[s]:bounds[s + 1]], outcomes)
+    return SimReport.from_counts(hits, len(blocks) - hits,
+                                 preload_volumes=preload_volumes,
                                  wall_clock=time.monotonic() - started,
                                  outcomes=outcomes)

@@ -10,8 +10,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import cachesim, gibbs, ingest, predict, synth
 from .errors import ConfigError, TraceParseError
 from .models import Hyperparams
@@ -126,19 +124,17 @@ def cmd_eval(args):
 
 def cmd_simulate(args):
     cfg = _merge_config(args)
-    events = ingest.parse_trace(args.trace, format_id=cfg["format"],
-                                block_size=cfg["block_size"])
+    trace = ingest.parse_trace(args.trace, format_id=cfg["format"],
+                               block_size=cfg["block_size"])
     model, access_map, binning = predict.load_model(args.model)
-    # operating phase = slices past the learning cut, in wall-clock terms
-    t_total = int(events[-1].timestamp // binning.nu) + 1
-    cut = min(max(int(np.ceil(cfg["split"] * t_total)), 1), t_total - 1)
-    boundary = cut * binning.nu
-    operate = [ingest.TraceEvent(e.timestamp - boundary, e.op, e.offset,
-                                 e.size, e.block_ids)
-               for e in events if e.timestamp >= boundary]
-    if not operate:
-        raise ConfigError("no operating-phase events after the split")
-    capacity = cachesim.capacity_from_trace(events, cfg["cache_frac"])
+    # operating phase = slices past the learning cut, in wall-clock terms;
+    # like fit, the cut counts the slices up to the last read
+    read_slices = trace.reads().slice_count(binning.nu)
+    boundary = ingest.learn_cut(read_slices, cfg["split"]) * binning.nu
+    operate = trace.since(boundary)
+    if not operate.is_read.any():
+        raise ConfigError("no read requests in the operating phase after the split")
+    capacity = cachesim.capacity_from_trace(trace, cfg["cache_frac"])
     base = cachesim.simulate_baseline(operate, capacity)
     preload_log = [] if args.preload_log else None
     pre = cachesim.simulate_preloading(operate, model, access_map, binning,

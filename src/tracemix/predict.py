@@ -238,11 +238,10 @@ def load_model(path):
             K=int(z["K"]), pi=z["pi"], pi0=z["pi0"], mu=z["mu"],
             Lambda=z["Lambda"], lambda_hat=z["lambda_hat"], b=z["b"],
             hp=hp, kind=str(z["kind"]))
-        keys = z["map_keys"]
         flat = z["map_flat"]
-        offsets = z["map_offsets"]
-        H = {int(k): frozenset(int(v) for v in flat[offsets[i]:offsets[i + 1]])
-             for i, k in enumerate(keys)}
+        offsets = z["map_offsets"].tolist()
+        H = {k: frozenset(flat[a:b].tolist())
+             for k, a, b in zip(z["map_keys"].tolist(), offsets, offsets[1:])}
         m, lo, hi, bs, per_block = (int(v) for v in z["binning"])
         binning = BinningConfig(M=m, lba_lo=lo, lba_hi=hi, nu=float(z["nu"]),
                                 block_size=bs, count_per_block=bool(per_block))

@@ -5,8 +5,11 @@ grid quadrature, explicit enumeration) rather than reusing the package's
 incremental machinery, so tests compare two separate derivation paths.
 """
 
+import csv
+import io
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.special import betaln, gammaln
@@ -166,6 +169,60 @@ def project(Yt, b_row):
                 Yt[l, l] += v
                 Yt[j, l] = Yt[l, j] = 0
     return Yt
+
+
+def reference_parse_trace(byte_stream, format_id="msr", block_size=4096):
+    """Row-by-row CSV parse into time-sorted TraceEvent records: the parser
+    the columnar one replaced, kept as the reference for its values and for
+    its error messages and line numbers."""
+    from tracemix.errors import TraceParseError
+    from tracemix.ingest import TraceEvent, blocks_covered
+
+    formats = {"msr": ((0, 3, 4, 5), 1e-7), "plain": ((0, 1, 2, 3), 1.0)}
+    if format_id not in formats:
+        raise TraceParseError(f"unknown trace format {format_id!r}")
+    cols, tick = formats[format_id]
+    t_col, op_col, off_col, sz_col = cols
+    ncols = max(cols) + 1
+    if isinstance(byte_stream, (str, Path)):
+        with open(byte_stream, "r", newline="") as fh:
+            text = fh.read()
+    else:
+        text = byte_stream.read()
+        if isinstance(text, bytes):
+            text = text.decode()
+
+    rows = []
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < ncols:
+            raise TraceParseError(f"line {lineno}: expected >= {ncols} columns, got {len(row)}")
+        try:
+            ts = float(row[t_col])
+            op_raw = row[op_col].strip().lower()
+            offset = int(row[off_col])
+            size = int(row[sz_col])
+        except ValueError as exc:
+            raise TraceParseError(f"line {lineno}: {exc}") from None
+        if op_raw in ("read", "r"):
+            op = "read"
+        elif op_raw in ("write", "w"):
+            op = "write"
+        else:
+            raise TraceParseError(f"line {lineno}: unknown op {row[op_col]!r}")
+        if size <= 0:
+            raise TraceParseError(f"line {lineno}: size must be positive, got {size}")
+        if offset < 0:
+            raise TraceParseError(f"line {lineno}: negative offset {offset}")
+        rows.append((ts, op, offset, size))
+    if not rows:
+        raise TraceParseError("empty trace")
+    rows.sort(key=lambda r: r[0])
+    t0 = rows[0][0]
+    return [TraceEvent((ts - t0) * tick, op, offset, size,
+                       blocks_covered(offset, size, block_size))
+            for ts, op, offset, size in rows]
 
 
 def reference_lru(events, capacity):

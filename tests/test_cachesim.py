@@ -1,11 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tracemix import gibbs
+from tracemix import gibbs, synth
 from tracemix.cachesim import (LRUCache, capacity_from_trace,
                                simulate_baseline, simulate_preloading)
 from tracemix.errors import ConfigError
-from tracemix.ingest import BinningConfig, TraceEvent, blocks_covered
+from tracemix.ingest import (BinningConfig, TraceEvent, blocks_covered,
+                             infer_lba_range)
 from tracemix.models import Hyperparams
 from tracemix.predict import AccessMap, FittedModel
 
@@ -87,6 +91,21 @@ def test_cache_capacity_bound_holds():
         assert len(cache) <= 3
 
 
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_insert_distinct_leaves_what_one_by_one_inserts_leave(n):
+    # capacity 5; a pre-filled cache that shares blocks with the insert
+    rng = np.random.default_rng(n)
+    blocks = sorted(int(b) for b in rng.choice(40, size=n, replace=False))
+    full, cut = LRUCache(5), LRUCache(5)
+    for cache in (full, cut):
+        for b in (blocks[0], 77, 78, blocks[-1]):
+            cache.access(b)
+    for b in blocks:
+        full.insert(b)
+    cut.insert_distinct(blocks)
+    assert list(cut._blocks) == list(full._blocks)
+
+
 def test_capacity_from_trace():
     events = [read(float(t), t) for t in range(100)]
     assert capacity_from_trace(events, 0.05) == 5
@@ -94,8 +113,24 @@ def test_capacity_from_trace():
     rng = np.random.default_rng(2)
     blocks = [int(b) for b in rng.integers(0, 57, size=300)]
     events = [read(float(t), b) for t, b in enumerate(blocks)]
-    import math
     assert capacity_from_trace(events, 0.1) == math.ceil(0.1 * len(set(blocks)))
+
+
+def test_event_lists_at_other_block_sizes():
+    # the block size of a TraceEvent list is read off its block ids
+    spec = replace(synth.default_trace_spec(seed=3), T=30, block_size=512)
+    events = synth.gen_block_trace(spec)
+    events += [TraceEvent(t + 0.5, "read", off, size, blocks_covered(off, size, 512))
+               for t, (off, size) in enumerate([(100, 3 * 512), (20_000 * 512, 1300),
+                                                (511, 2), (0, 512)])]
+    events.sort(key=lambda e: e.timestamp)
+    footprint = {b for e in events for b in e.block_ids}
+    assert capacity_from_trace(events, 0.1) == math.ceil(0.1 * len(footprint))
+    for cap in (1, 40, 200):
+        rep = simulate_baseline(events, cap, record_outcomes=True)
+        assert rep.outcomes == oracles.reference_lru(events, cap)
+    offsets = [e.offset for e in events]
+    assert infer_lba_range(events) == (min(offsets), max(offsets) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
+from tracemix import ingest
 from tracemix.errors import TraceParseError
-from tracemix.ingest import (BinningConfig, CountVectorSequence, TraceEvent,
-                             aggregate, binning_from_events, blocks_covered,
-                             infer_lba_range, load_artifact, parse_trace,
-                             save_artifact, split_learn_operate)
+from tracemix.ingest import (BinningConfig, CountVectorSequence, Trace,
+                             TraceEvent, aggregate, binning_from_events,
+                             blocks_covered, infer_lba_range, learn_cut,
+                             load_artifact, parse_trace, save_artifact,
+                             split_learn_operate)
+
+import oracles
 
 
 def plain(rows):
@@ -86,6 +91,178 @@ def test_parse_fixture_against_reference():
         first = off // 4096
         last = (off + sz - 1) // 4096
         assert e.block_ids == tuple(range(first, last + 1))
+
+
+# (format, lines) pairs: the columnar parser must give the reference row
+# parser's columns, or its error message and line number
+PARITY_CASES = {
+    "blank lines": ("plain", ["", "0.0,read,0,4096", "", "", "1.0,write,4096,8192", ""]),
+    "whitespace-only lines": ("plain", ["0.0,read,0,4096", "   ", "\t", "1.0,read,0,4096"]),
+    "whitespace before a bad line": ("plain", ["0.0,read,0,4096", "  ", "1.0,read,zzz,4096"]),
+    "padded op": ("plain", ["0.0, Read ,0,4096", "1.0,READ,0,4096"]),
+    "short ops": ("plain", ["0.0,R,0,4096", "1.0,w,4096,4096", "2.0,r,0,4096"]),
+    "extra trailing columns": ("plain", ["0.0,read,0,4096,x,y", "1.0,write,0,4096,"]),
+    "too few columns": ("plain", ["0.0,read,0,4096", "1.0,read,0"]),
+    "hash-led row": ("plain", ["0.0,read,0,4096", "#1.0,read,0,4096"]),
+    "plus and exponent fields": ("plain", ["+5,read,+4096,+4096", "1e3,write,0,4096"]),
+    "exponent offset": ("plain", ["0.0,read,1e3,4096"]),
+    "float offset": ("plain", ["0.0,read,4096.0,4096"]),
+    "equal timestamps keep file order": ("plain", [
+        "1.0,read,0,4096", "1.0,write,4096,4096", "0.5,read,8192,4096",
+        "1.0,read,12288,4096", "0.5,write,16384,4096"]),
+    "unknown op longer than any fixed width": ("plain", ["0.0,writewritewrite,0,4096"]),
+    "op that fills the fixed width": ("plain", ["0.0,   read   ,0,4096"]),
+    "unknown op whose head is a known one": ("plain", ["0.0,w       junk,0,4096"]),
+    "unknown op": ("plain", ["0.0,read,0,4096", "1.0,flush,0,4096"]),
+    "zero size": ("plain", ["0.0,read,0,4096", "1.0,read,0,0"]),
+    "negative offset": ("plain", ["0.0,read,0,4096", "1.0,read,-4096,4096"]),
+    "empty input": ("plain", []),
+    "only blank lines": ("plain", ["", "  ", ""]),
+    "quoted fields": ("plain", ['"0.5","read",0,4096', '1.5,write,"4096",4096']),
+    "NUL in an op": ("plain", ["0.0,r\0,0,4096"]),
+    "unsorted with sub-block requests": ("plain", [
+        "3.25,read,4095,2", "0.125,read,10,1", "2.0,write,8192,12288"]),
+    "msr rows": ("msr", [
+        "128166372003061629,usr,0,Read,8192,4096,100",
+        "128166372013061629,usr,1,Write,0,8192,200",
+        "128166372003061629,usr,0,read,4096,512,5"]),
+    "msr quoted hostname with a comma": ("msr", [
+        '128166372003061629,"usr,0",Read,4096,4096,1,2']),
+    "msr fractional ticks": ("msr", ["128166372003061629.5,usr,0,Read,0,4096,1",
+                                     "128166372003061629,usr,0,Write,0,4096,1"]),
+    "msr empty op": ("msr", ["128166372003061629,usr,0,,0,4096,1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_parse_matches_reference_parser(case):
+    check_parity(*PARITY_CASES[case])
+
+
+def check_parity(fmt, lines):
+    text = "".join(line + "\n" for line in lines)
+    try:
+        expected = oracles.reference_parse_trace(io.StringIO(text), format_id=fmt)
+    except TraceParseError as exc:
+        with pytest.raises(TraceParseError) as got:
+            parse_trace(io.StringIO(text), format_id=fmt)
+        assert str(got.value) == str(exc)
+        return
+    trace = parse_trace(io.StringIO(text), format_id=fmt)
+    assert list(trace) == expected  # exact floats, ops, offsets, block ids
+    assert trace.timestamp.dtype == np.float64 and trace.is_read.dtype == bool
+    assert trace.offset.dtype == np.int64 and trace.size.dtype == np.int64
+
+
+def loadtxt_of_numpy_1_24(real_loadtxt):
+    """np.loadtxt as numpy 1.23-1.26 ran it: an integer field reads a cell
+    int() rejects as a float and truncates it, with one DeprecationWarning
+    per call."""
+    def loadtxt(fname, dtype, **kwargs):
+        ints = [name for name in dtype.names if dtype[name].kind == "i"]
+        text_dtype = np.dtype([(name, "U64" if name in ints else dtype[name])
+                               for name in dtype.names])
+        cells = real_loadtxt(fname, dtype=text_dtype, **kwargs)
+        rows = np.empty(len(cells), dtype=dtype)
+        warned = False
+        for name in dtype.names:
+            if name not in ints:
+                rows[name] = cells[name]
+                continue
+            for i, cell in enumerate(cells[name]):
+                try:
+                    rows[name][i] = int(cell)
+                except ValueError:
+                    if not warned:
+                        warnings.warn("loadtxt(): Parsing an integer via a "
+                                      "float is deprecated.", DeprecationWarning)
+                        warned = True
+                    rows[name][i] = int(float(cell))
+        return rows
+    return loadtxt
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_parse_matches_reference_under_numpy_1_24_loadtxt(case, monkeypatch):
+    # a float cell the installed loadtxt rejects may be truncated into an
+    # integer field by an older one; that input must still reach the row
+    # reader, and no warning may escape the parse
+    monkeypatch.setattr(np, "loadtxt", loadtxt_of_numpy_1_24(np.loadtxt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_parity(*PARITY_CASES[case])
+
+
+def test_parse_matches_reference_on_a_file(tmp_path):
+    # a large-ish MSR file through the path-reading branch, with CRLF endings
+    rng = np.random.default_rng(5)
+    n = 3000
+    ticks = 128166372000000000 + rng.integers(0, 3 * 10**9, size=n)
+    ticks[10] = ticks[11]  # a tie
+    ops = rng.choice(["Read", "Write", "read", "W"], size=n)
+    offsets = rng.integers(0, 10**6, size=n) * 512
+    sizes = rng.integers(1, 64, size=n) * 512
+    path = tmp_path / "trace.csv"
+    path.write_bytes("".join(
+        f"{t},srv,0,{o},{off},{sz},{i}\r\n"
+        for i, (t, o, off, sz) in enumerate(zip(ticks, ops, offsets, sizes))).encode())
+    trace = parse_trace(path, format_id="msr", block_size=4096)
+    assert list(trace) == oracles.reference_parse_trace(path, format_id="msr")
+    assert ingest._parse_columns(path.read_text(), path, (0, 3, 4, 5)) is not None
+
+
+@pytest.mark.parametrize("row, message", [
+    ("nan,read,0,4096", "line 2: timestamp must be finite"),
+    ("inf,read,0,4096", "line 2: timestamp must be finite"),
+    ("1.0,read,9223372036854771712,8192", "line 2: request end"),
+    ("1.0,read,99999999999999999999,4096", "line 2: request end"),
+])
+def test_parse_rejects_rows_the_columns_cannot_hold(row, message):
+    # the row parser accepted these; a Trace holds finite float64 times and
+    # int64 byte ranges, so they now fail on their line
+    with pytest.raises(TraceParseError, match=message):
+        parse_trace(plain(["0.0,read,0,4096", row]), format_id="plain")
+
+
+def test_trace_rows_read_back_as_events():
+    events = make_events([(0.0, "read", 0, 4096), (1.5, "write", 4095, 2),
+                          (2.0, "read", 8192, 3 * 4096)])
+    trace = Trace.from_events(events)
+    assert len(trace) == 3
+    assert trace[1] == events[1] and trace[-1] == events[-1]
+    assert list(trace) == events
+    ids, counts = trace.block_ids()
+    assert ids.tolist() == [0, 0, 1, 2, 3, 4] and counts.tolist() == [1, 2, 3]
+
+
+def test_trace_from_events_sorts_stably():
+    events = make_events([(2.0, "read", 0, 1), (1.0, "read", 4096, 1),
+                          (1.0, "write", 8192, 1)])
+    trace = Trace.from_events(events)
+    assert list(trace) == [events[1], events[2], events[0]]
+
+
+def test_trace_from_events_checks_block_size():
+    events = make_events([(0.0, "read", 0, 1024)], block_size=512)
+    with pytest.raises(ValueError, match="block size"):
+        Trace.from_events(events, block_size=4096)
+    assert list(Trace.from_events(events, block_size=512)) == events
+    assert Trace.from_events(events).block_size == 512
+    assert Trace.from_events(make_events([(0.0, "read", 0, 1024)])).block_size == 4096
+    misnumbered = [TraceEvent(0.0, "read", 0, 4096, (5,))]
+    with pytest.raises(ValueError, match="every block size"):
+        Trace.from_events(misnumbered)
+
+
+@pytest.mark.parametrize("M, lo, hi", [(10, 0, 10_000_000), (7, 10, 100),
+                                       (5, 100, 103), (3, -50, 7)])
+def test_bins_of_matches_bin_of(M, lo, hi):
+    c = BinningConfig(M=M, lba_lo=lo, lba_hi=hi, nu=1.0)
+    rng = np.random.default_rng(M)
+    offsets = np.concatenate([rng.integers(lo - 50, hi + 50, size=500),
+                              np.arange(lo - 3, min(hi + 3, lo + 300)),
+                              [0, 2**62]])
+    assert c.bins_of(offsets).tolist() == [c.bin_of(o) for o in offsets.tolist()]
 
 
 def test_blocks_covered_spans():
@@ -209,6 +386,15 @@ def test_split_ceiling_rule():
 def test_split_fraction_09():
     learn, op = split_learn_operate(seq_of_length(100), 0.9)
     assert len(learn) == 90 and len(op) == 10
+
+
+def test_learn_cut_clamps_both_parts():
+    assert learn_cut(10, 0.5) == 5
+    assert learn_cut(11, 0.5) == 6
+    assert learn_cut(2, 0.01) == 1
+    assert learn_cut(5, 0.9) == 4
+    with pytest.raises(ValueError):
+        learn_cut(1, 0.5)
 
 
 def test_split_too_short():
