@@ -12,8 +12,15 @@ clusters.  The defining constraint sum_l Y[t,j,l] == X[t,j] holds after every
 individual update; whenever a slice lands in a cluster whose active set does
 not cover its off-diagonal mass, that mass is folded back onto the diagonals
 (the minimal change preserving row sums).
+
+A sweep resamples only the latent pairs (j, l) whose counts X[t,j] and
+X[t,l] are both nonzero.  A zero count forces row j of Y[t] to be all zero,
+so the conditional of every pair in that row is a point mass at its current
+value; skipping those updates leaves the Markov kernel unchanged.
 """
 
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -325,17 +332,17 @@ def _create_cluster(state, b_row, rng):
     return state.K - 1
 
 
-def _noise_delta(state, x, S_hat, n_hat):
-    """Predictive log-likelihood of adding diagonal counts x to the noise pool."""
-    hp = state.hp
+def _noise_gain(hp, x, S_hat, n_hat):
+    """Per-dimension predictive log-likelihood of adding diagonal counts x to
+    the noise pools."""
     ga = _grid(hp.a_hat)
     g1 = _grid(1.0)
     s = S_hat.astype(float)
     n = n_hat.astype(float)
-    return float((ga.take(S_hat + x) - ga.take(S_hat)
-                  - (hp.a_hat + s + x) * np.log(hp.b_hat + n + 1.0)
-                  + (hp.a_hat + s) * np.log(hp.b_hat + n)
-                  - g1.take(x)).sum())
+    return (ga.take(S_hat + x) - ga.take(S_hat)
+            - (hp.a_hat + s + x) * np.log(hp.b_hat + n + 1.0)
+            + (hp.a_hat + s) * np.log(hp.b_hat + n)
+            - g1.take(x))
 
 
 def _pred_delta(hp, S_k, n, Yt, mask):
@@ -354,6 +361,36 @@ def _pred_delta(hp, S_k, n, Yt, mask):
                  - g1.take(y).sum())
 
 
+def _pred_delta_batch(hp, S, n, Yp, fm):
+    """_pred_delta for a stack of factor groups: row r pools Yp[r]'s entries
+    under mask fm[r] into summed counts S[r] over n[r] observations."""
+    ga = _grid(hp.a_bar)
+    g1 = _grid(1.0)
+    d_ga = (ga.take(S + Yp) - ga.take(S)) * fm
+    sums_sy = ((S + Yp) * fm).sum(axis=(1, 2)).astype(float)
+    sums_s = (S * fm).sum(axis=(1, 2)).astype(float)
+    pairs = fm.sum(axis=(1, 2)).astype(float)
+    return (d_ga.sum(axis=(1, 2))
+            - np.log(hp.b_bar + n + 1.0) * (sums_sy + pairs * hp.a_bar)
+            + np.log(hp.b_bar + n) * (sums_s + pairs * hp.a_bar)
+            - (g1.take(Yp) * fm).sum(axis=(1, 2)))
+
+
+def _project_batch(Yt, act):
+    """Yt projected onto each activity row of act (R, M) bool, as
+    _project_to_support does, with the upper-triangular masks of each row's
+    active pairs.  Returns two (R, M, M) arrays."""
+    M = len(Yt)
+    pair_ok = act[:, :, None] & act[:, None, :]
+    bad = ~np.eye(M, dtype=bool)[None] & ~pair_ok
+    moved = np.where(bad, Yt[None], 0)
+    Yp = np.where(bad, 0, Yt[None])
+    idx = np.arange(M)
+    Yp[:, idx, idx] += moved.sum(axis=2)
+    fm = np.triu(np.ones((M, M), dtype=bool))[None] & pair_ok
+    return Yp, fm
+
+
 def f_existing(t, k, state):
     """Log predictive of assigning slice t to existing cluster k.
 
@@ -370,8 +407,8 @@ def f_existing(t, k, state):
     if is_sparse(state.kind):
         inact = state.b[k] == 0
         if inact.any():
-            out += _noise_delta(state, state.X[t][inact],
-                                state.S_hat[inact], state.n_hat[inact])
+            out += float(_noise_gain(state.hp, state.X[t][inact],
+                                     state.S_hat[inact], state.n_hat[inact]).sum())
     return out
 
 
@@ -380,44 +417,18 @@ def _f_existing_batch(t, state):
     K, M = state.K, state.M
     if K == 0:
         return np.zeros(0)
-    hp = state.hp
-    Yt = state.Y[t]
     n = state.n_k.astype(float)
-    ga = _grid(hp.a_bar)
-    g1 = _grid(1.0)
     if is_sparse(state.kind):
-        act = state.b.astype(bool)                      # (K, M)
-        pair_ok = act[:, :, None] & act[:, None, :]     # (K, M, M)
-        off = ~np.eye(M, dtype=bool)
-        bad = off[None] & ~pair_ok
-        moved = np.where(bad, Yt[None], 0)
-        Yp = np.where(bad, 0, np.broadcast_to(Yt, (K, M, M))).copy()
-        idx = np.arange(M)
-        Yp[:, idx, idx] += moved.sum(axis=2)
-        fm = np.triu(np.ones((M, M), dtype=bool))[None] & pair_ok
+        act = state.b.astype(bool)
+        Yp, fm = _project_batch(state.Y[t], act)
     else:
-        Yp = np.broadcast_to(Yt, (K, M, M))
+        Yp = np.broadcast_to(state.Y[t], (K, M, M))
         fm = np.broadcast_to(_pair_mask(state.kind, None, M), (K, M, M))
-    S = state.S
-    d_ga = (ga.take(S + Yp) - ga.take(S)) * fm
-    sums_sy = ((S + Yp) * fm).sum(axis=(1, 2)).astype(float)
-    sums_s = (S * fm).sum(axis=(1, 2)).astype(float)
-    pairs = fm.sum(axis=(1, 2)).astype(float)
-    out = (d_ga.sum(axis=(1, 2))
-           - np.log(hp.b_bar + n + 1.0) * (sums_sy + pairs * hp.a_bar)
-           + np.log(hp.b_bar + n) * (sums_s + pairs * hp.a_bar)
-           - (g1.take(Yp) * fm).sum(axis=(1, 2)))
+    out = _pred_delta_batch(state.hp, state.S, n, Yp, fm)
     if is_sparse(state.kind):
         # per-dimension noise predictive is cluster-independent
-        gah = _grid(hp.a_hat)
-        sh = state.S_hat.astype(float)
-        nh = state.n_hat.astype(float)
-        x = state.X[t]
-        delta = (gah.take(state.S_hat + x) - gah.take(state.S_hat)
-                 - (hp.a_hat + sh + x) * np.log(hp.b_hat + nh + 1.0)
-                 + (hp.a_hat + sh) * np.log(hp.b_hat + nh)
-                 - g1.take(x))
-        out += (~act).astype(float) @ delta
+        out += (~act).astype(float) @ _noise_gain(state.hp, state.X[t],
+                                                  state.S_hat, state.n_hat)
     return out
 
 
@@ -473,62 +484,40 @@ def f_new_sparse(t, state, rng, n_samples=20, flip_prob=0.2,
             raise ValueError("b_init required once t has been detached")
         S_hat = state.S_hat
         n_hat = state.n_hat
-    a, b = hp.a_bar, hp.b_bar
-
     c = state.b.sum(axis=0)
     p_act = (c + hp.a_prime) / (state.K + hp.a_prime + hp.b_prime)
     log_p1 = np.log(p_act)
     log_p0 = np.log1p(-p_act)
 
-    triu = np.triu(np.ones((M, M), dtype=bool))
-    x_t = state.X[t]
-    glx = gammaln(x_t + 1.0)
-
     def log_prior(vec):
         return float(np.where(vec == 1, log_p1, log_p0).sum())
 
-    def log_h(vec):
-        act = vec.astype(bool)
-        Yp = _project_to_support(state.Y[t], vec)
-        mask = triu & np.outer(act, act)
-        y = Yp[mask].astype(float)
-        out = float((gammaln(a + y) - (a + y) * np.log(b + 1.0) - gammaln(y + 1.0)
-                     - (gammaln(a) - a * np.log(b))).sum())
-        if (~act).any():
-            s = S_hat[~act].astype(float)
-            n = n_hat[~act].astype(float)
-            x = x_t[~act].astype(float)
-            out += float((gammaln(hp.a_hat + s + x) - gammaln(hp.a_hat + s)
-                          - (hp.a_hat + s + x) * np.log(hp.b_hat + n + 1.0)
-                          + (hp.a_hat + s) * np.log(hp.b_hat + n)
-                          - glx[~act]).sum())
-        return out
-
+    # The chain accepts on the prior alone, so it runs first; the distinct
+    # vectors it visits are then scored in one batch.
     cur = np.asarray(b_init, dtype=np.int8).copy()
     cur_lp = log_prior(cur)
-    cache = {}
-
-    def cached_h(vec):
-        key = vec.tobytes()
-        if key not in cache:
-            cache[key] = log_h(vec)
-        return cache[key]
-
-    hs = np.empty(n_samples)
-    samples = np.empty((n_samples, M), dtype=np.int8)
+    seen = {cur.tobytes(): 0}       # distinct visited vectors, in visit order
+    row = 0
+    visits = np.empty(n_samples, dtype=np.int64)
     for s_i in range(n_samples):
         flips = rng.random(M) < flip_prob
         if flips.any():
-            prop = cur.copy()
-            prop[flips] ^= 1
+            prop = cur ^ flips
             prop_lp = log_prior(prop)
             if np.log(rng.random()) < prop_lp - cur_lp:
                 cur, cur_lp = prop, prop_lp
-        samples[s_i] = cur
-        hs[s_i] = cached_h(cur)
-    log_marg = float(logsumexp(hs) - np.log(n_samples))
+                row = seen.setdefault(cur.tobytes(), len(seen))
+        visits[s_i] = row
+    vecs = np.frombuffer(b"".join(seen), dtype=np.int8).reshape(len(seen), M)
+    act = vecs.astype(bool)
+    Yp, fm = _project_batch(state.Y[t], act)
+    h = (_pred_delta_batch(hp, 0, 0.0, Yp, fm)
+         + (~act).astype(float) @ _noise_gain(hp, state.X[t], S_hat, n_hat))
+    hs = h[visits]
+    top = hs.max()
+    log_marg = float(top + np.log(np.exp(hs - top).sum()) - np.log(n_samples))
     if _return_samples:
-        return log_marg, samples, hs
+        return log_marg, vecs[visits], hs
     return log_marg
 
 
@@ -851,111 +840,106 @@ def _refresh_stats(state):
 _LAUNCH_SCANS = 1
 
 
+def _log_sigmoid(x):
+    return -(max(0.0, -x) + math.log1p(math.exp(-abs(x))))
+
+
 def _allocation_scan(state, mask, order, seed_a, seed_b, rng,
                      actual_sides=None):
-    """Two-cluster launch-and-scan allocation of `order` slices.
+    """Two-cluster launch-and-scan allocation of the slices in `order`.
 
     A sequential pass seeds the two sides, restricted Gibbs scans refine the
     launch, and one final scan accumulates the proposal probability: drawing
     the sides when proposing a split, or forcing `actual_sides` to price the
     reverse split of a merge.  Predictives use the masked collapsed factors
-    only (shared noise factors cancel between sides).
+    only (shared noise factors cancel between sides, and so does the log Y!
+    term of the slice being placed).  Returns (log_q, sides), sides[i] True
+    when order[i] is on the side of seed_a.
     """
     hp = state.hp
-    S_a = state.Y[seed_a].copy()
-    S_b = state.Y[seed_b].copy()
-    n_a = 1.0
-    n_b = 1.0
-    sides = np.zeros(len(order), dtype=bool)  # True -> side a
+    Yo = state.Y[order][:, mask]                       # (n, P)
+    y_tot = Yo.sum(axis=1).tolist()
+    S = np.stack((state.Y[seed_a][mask], state.Y[seed_b][mask]))
+    tot = S.sum(axis=1).tolist()                       # per-side count totals
+    cnt = [1, 1]                                       # per-side slice counts
+    ga = _grid(hp.a_bar)
+    ga.take(S.sum(axis=0) + Yo.sum(axis=0))            # covers every side sum
+    lg = ga.vals
+    G = lg[S].sum(axis=1).tolist()                     # sum gammaln(a + S) per side
+    pa = S.shape[1] * hp.a_bar
+    n = len(Yo)
+    log_n = np.log(np.arange(1.0, n + 2.0)).tolist()
+    log_bn = np.log(hp.b_bar + np.arange(1.0, n + 3.0)).tolist()
 
-    def gap_for(Yt):
-        d_a = np.log(n_a) + _pred_delta(hp, S_a, n_a, Yt, mask)
-        d_b = np.log(n_b) + _pred_delta(hp, S_b, n_b, Yt, mask)
-        return d_a - d_b
+    def score(side, gain, yt):
+        # log size + predictive of the slice on that side; gain is the
+        # change in the side's gammaln sum
+        c, s_tot = cnt[side], tot[side]
+        return (log_n[c - 1] + gain - log_bn[c] * (s_tot + yt + pa)
+                + log_bn[c - 1] * (s_tot + pa))
 
-    # sequential launch
-    for i, t in enumerate(order):
-        Yt = state.Y[t]
-        gap = gap_for(Yt)
-        to_a = np.log(rng.random()) < -np.logaddexp(0.0, -gap)
-        if to_a:
-            S_a += Yt
-            n_a += 1.0
-        else:
-            S_b += Yt
-            n_b += 1.0
-        sides[i] = to_a
-
-    # restricted refinement scans
-    for _ in range(_LAUNCH_SCANS):
-        for i, t in enumerate(order):
-            Yt = state.Y[t]
-            if sides[i]:
-                S_a -= Yt
-                n_a -= 1.0
-            else:
-                S_b -= Yt
-                n_b -= 1.0
-            gap = gap_for(Yt)
-            to_a = np.log(rng.random()) < -np.logaddexp(0.0, -gap)
-            if to_a:
-                S_a += Yt
-                n_a += 1.0
-            else:
-                S_b += Yt
-                n_b += 1.0
-            sides[i] = to_a
-
-    # final scan carries the proposal probability
+    side = [-1] * n                                    # 0: seed_a's side, 1: seed_b's
     log_q = 0.0
-    for i, t in enumerate(order):
-        Yt = state.Y[t]
-        if sides[i]:
-            S_a -= Yt
-            n_a -= 1.0
-        else:
-            S_b -= Yt
-            n_b -= 1.0
-        gap = gap_for(Yt)
-        log_pa = -np.logaddexp(0.0, -gap)
-        log_pb = -np.logaddexp(0.0, gap)
-        if actual_sides is None:
-            to_a = np.log(rng.random()) < log_pa
-        else:
-            to_a = actual_sides[i]
-        log_q += log_pa if to_a else log_pb
-        if to_a:
-            S_a += Yt
-            n_a += 1.0
-        else:
-            S_b += Yt
-            n_b += 1.0
-        sides[i] = to_a
-    return log_q, sides
+    for scan in range(_LAUNCH_SCANS + 2):
+        final = scan == _LAUNCH_SCANS + 1
+        for i in range(n):
+            y, yt, cur = Yo[i], y_tot[i], side[i]
+            # G: each side's gammaln sum without y, L: with y.  One lookup
+            # serves both sides: y's own side is looked up with y taken out,
+            # since its current sum already holds y.
+            idx = S + y
+            if cur >= 0:
+                S[cur] -= y
+                idx[cur] = S[cur]
+                cnt[cur] -= 1
+                tot[cur] -= yt
+            L = lg[idx].sum(axis=1).tolist()
+            if cur >= 0:
+                G[cur], L[cur] = L[cur], G[cur]
+            gap = score(0, L[0] - G[0], yt) - score(1, L[1] - G[1], yt)
+            log_pa = _log_sigmoid(gap)
+            if final and actual_sides is not None:
+                new = 0 if actual_sides[i] else 1
+            else:
+                new = 0 if math.log(rng.random()) < log_pa else 1
+            if final:
+                log_q += log_pa if new == 0 else _log_sigmoid(-gap)
+            S[new] += y
+            G[new] = L[new]
+            cnt[new] += 1
+            tot[new] += yt
+            side[i] = new
+    return log_q, np.array(side) == 0
 
 
 def sample_split_merge(state, rng, n_moves=10):
     """Run a batch of split-merge proposals; returns the number accepted."""
     accepted = 0
+    jld = joint_log_density(state)
     for _ in range(n_moves):
-        accepted += _one_split_merge(state, rng)
+        jld_new = _one_split_merge(state, rng, jld)
+        if jld_new is not None:
+            accepted += 1
+            jld = jld_new
     return accepted
 
 
-def _one_split_merge(state, rng):
+def _one_split_merge(state, rng, jld_cur):
+    """One split or merge proposal against a state of joint log density
+    jld_cur; returns the new density when accepted, else None."""
     T = state.T
     if T < 2 or (state.K == 1 and state.n_k[0] < 2):
-        return 0
+        return None
     i = int(rng.integers(T))
     j = int(rng.integers(T - 1))
     if j >= i:
         j += 1
     ki, kj = int(state.Z[i]), int(state.Z[j])
-    jld_cur = joint_log_density(state)
     if ki == kj:
         # propose a split seeded at i and j
         mask = _pair_mask(state.kind, state.b[ki], state.M)
-        order = [t for t in np.flatnonzero(state.Z == ki) if t != i and t != j]
+        members = np.flatnonzero(state.Z == ki)
+        order = members[(members != i) & (members != j)]
         log_q, sides = _allocation_scan(state, mask, order, i, j, rng)
         cand = state.clone()
         new_k = cand.K
@@ -965,21 +949,19 @@ def _one_split_merge(state, rng):
         cand.beta = np.concatenate([cand.beta[:-1], [frac * rem, (1 - frac) * rem]])
         cand.K += 1
         cand.Z[j] = new_k
-        for idx, t in enumerate(order):
-            if not sides[idx]:
-                cand.Z[t] = new_k
+        cand.Z[order[~sides]] = new_k
         _refresh_stats(cand)
-        log_accept = joint_log_density(cand) - jld_cur - log_q
+        jld_cand = joint_log_density(cand)
+        log_accept = jld_cand - jld_cur - log_q
     else:
         if is_sparse(state.kind) and not np.array_equal(state.b[ki], state.b[kj]):
-            return 0
+            return None
         # dry-run the split that would reconstruct the current pair
         mask = _pair_mask(state.kind, state.b[ki], state.M)
-        order = [t for t in np.flatnonzero((state.Z == ki) | (state.Z == kj))
-                 if t != i and t != j]
-        actual = [bool(state.Z[t] == ki) for t in order]
+        members = np.flatnonzero((state.Z == ki) | (state.Z == kj))
+        order = members[(members != i) & (members != j)]
         log_q, _ = _allocation_scan(state, mask, order, i, j, rng,
-                                    actual_sides=actual)
+                                    actual_sides=state.Z[order] == ki)
         cand = state.clone()
         cand.Z[cand.Z == kj] = ki
         cand.Z[cand.Z > kj] -= 1
@@ -990,11 +972,12 @@ def _one_split_merge(state, rng):
         cand.beta[-1] += w
         cand.K -= 1
         _refresh_stats(cand)
-        log_accept = joint_log_density(cand) - jld_cur + log_q
+        jld_cand = joint_log_density(cand)
+        log_accept = jld_cand - jld_cur + log_q
     if np.log(rng.random()) < log_accept:
         _adopt(state, cand)
-        return 1
-    return 0
+        return jld_cand
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1031,16 +1014,25 @@ def joint_log_density(state):
     return out
 
 
-def active_pairs(state, k):
-    """Off-diagonal (j, l) pairs sampled for a member of cluster k."""
+def _pairs_among(state, k, dims):
+    """Off-diagonal (j, l), j < l, among the dimensions in `dims` (bool, M)
+    that are active in cluster k."""
     if is_diagonal(state.kind):
         return []
     if is_sparse(state.kind):
-        act = np.where(state.b[k] == 1)[0]
-    else:
-        act = np.arange(state.M)
-    return [(int(act[i]), int(act[jj]))
-            for i in range(len(act)) for jj in range(i + 1, len(act))]
+        dims = dims & (state.b[k] == 1)
+    return list(itertools.combinations(np.flatnonzero(dims).tolist(), 2))
+
+
+def active_pairs(state, k):
+    """Off-diagonal (j, l) pairs sampled for a member of cluster k."""
+    return _pairs_among(state, k, np.ones(state.M, dtype=bool))
+
+
+def _live_pairs(state, t):
+    """The active pairs of slice t whose two counts are both nonzero: the
+    only ones whose conditional is not a point mass (module docstring)."""
+    return _pairs_among(state, int(state.Z[t]), state.X[t] > 0)
 
 
 @dataclass
@@ -1049,13 +1041,17 @@ class Diagnostics:
 
     rows: list = field(default_factory=list)   # (sweep, joint log density, K, wall clock)
     y_draws: list = field(default_factory=list)  # off-diagonal draws per sweep
+    split_merge_accepted: list = field(default_factory=list)  # per sweep
     partial: bool = False
 
     def write_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("sweep,joint_log_density,K,wall_clock\n")
-            for sweep, jld, k, wc in self.rows:
-                fh.write(f"{sweep},{jld:.6f},{k},{wc:.3f}\n")
+            fh.write("sweep,joint_log_density,K,wall_clock,y_draws,"
+                     "split_merge_accepted\n")
+            for (sweep, jld, k, wc), n_y, acc in zip(
+                    self.rows, self.y_draws, self.split_merge_accepted,
+                    strict=True):
+                fh.write(f"{sweep},{jld:.6f},{k},{wc:.3f},{n_y},{acc}\n")
 
 
 def run_gibbs(data, kind, hp=None, cfg=None):
@@ -1074,19 +1070,21 @@ def run_gibbs(data, kind, hp=None, cfg=None):
         n_y = 0
         for t in range(state.T):
             step_z(t, state, rng, cfg.mh_samples, cfg.mh_flip_prob)
-            for (j, l) in active_pairs(state, int(state.Z[t])):
+            for (j, l) in _live_pairs(state, t):
                 sample_y(t, j, l, state, rng)
                 n_y += 1
         if is_sparse(kind):
             for k in range(state.K):
                 for j in range(state.M):
                     sample_b(k, j, state, rng)
+        accepted = 0
         if cfg.split_merge_moves:
-            sample_split_merge(state, rng, cfg.split_merge_moves)
+            accepted = sample_split_merge(state, rng, cfg.split_merge_moves)
         sample_m_beta(state, rng)
         elapsed = time.monotonic() - started
         diag.rows.append((sweep, joint_log_density(state), state.K, elapsed))
         diag.y_draws.append(n_y)
+        diag.split_merge_accepted.append(accepted)
         if sweep > cfg.burn_in and (sweep - cfg.burn_in - 1) % cfg.thinning == 0:
             samples.append(state.clone())
         if elapsed > cfg.wall_clock_limit and sweep < cfg.iterations:

@@ -282,3 +282,157 @@ def predict_next_brute_force(pi0, pi, mu, X):
             if total > best + 1e-12:
                 best, best_k = total, path[T]
     return best_k
+
+
+# ---------------------------------------------------------------------------
+# the sampler kernels as first written, one predictive call per candidate
+
+def reference_f_new_sparse(t, state, rng, n_samples=20, flip_prob=0.2,
+                           b_init=None):
+    """The new-cluster activity marginal scoring each visited activity vector
+    as the chain reaches it.  Returns (log marginal, samples, hs)."""
+    from scipy.special import logsumexp
+    hp = state.hp
+    M = state.M
+    if state.Z[t] >= 0:
+        k_cur = int(state.Z[t])
+        if b_init is None:
+            b_init = state.b[k_cur].copy()
+        S_hat = state.S_hat.copy()
+        n_hat = state.n_hat.copy()
+        inact = state.b[k_cur] == 0
+        S_hat[inact] -= state.Y[t].diagonal()[inact]
+        n_hat[inact] -= 1
+    else:
+        S_hat = state.S_hat
+        n_hat = state.n_hat
+    a, b = hp.a_bar, hp.b_bar
+
+    c = state.b.sum(axis=0)
+    p_act = (c + hp.a_prime) / (state.K + hp.a_prime + hp.b_prime)
+    log_p1 = np.log(p_act)
+    log_p0 = np.log1p(-p_act)
+
+    triu = np.triu(np.ones((M, M), dtype=bool))
+    x_t = state.X[t]
+    glx = gammaln(x_t + 1.0)
+
+    def log_prior(vec):
+        return float(np.where(vec == 1, log_p1, log_p0).sum())
+
+    def log_h(vec):
+        act = vec.astype(bool)
+        Yp = project(state.Y[t], vec)
+        mask = triu & np.outer(act, act)
+        y = Yp[mask].astype(float)
+        out = float((gammaln(a + y) - (a + y) * np.log(b + 1.0) - gammaln(y + 1.0)
+                     - (gammaln(a) - a * np.log(b))).sum())
+        if (~act).any():
+            s = S_hat[~act].astype(float)
+            n = n_hat[~act].astype(float)
+            x = x_t[~act].astype(float)
+            out += float((gammaln(hp.a_hat + s + x) - gammaln(hp.a_hat + s)
+                          - (hp.a_hat + s + x) * np.log(hp.b_hat + n + 1.0)
+                          + (hp.a_hat + s) * np.log(hp.b_hat + n)
+                          - glx[~act]).sum())
+        return out
+
+    cur = np.asarray(b_init, dtype=np.int8).copy()
+    cur_lp = log_prior(cur)
+    hs = np.empty(n_samples)
+    samples = np.empty((n_samples, M), dtype=np.int8)
+    for s_i in range(n_samples):
+        flips = rng.random(M) < flip_prob
+        if flips.any():
+            prop = cur.copy()
+            prop[flips] ^= 1
+            prop_lp = log_prior(prop)
+            if np.log(rng.random()) < prop_lp - cur_lp:
+                cur, cur_lp = prop, prop_lp
+        samples[s_i] = cur
+        hs[s_i] = log_h(cur)
+    return float(logsumexp(hs) - np.log(n_samples)), samples, hs
+
+
+def reference_allocation_scan(state, mask, order, seed_a, seed_b, rng,
+                              actual_sides=None):
+    """Two-cluster launch-and-scan allocation of `order` slices.
+
+    A sequential pass seeds the two sides, restricted Gibbs scans refine the
+    launch, and one final scan accumulates the proposal probability: drawing
+    the sides when proposing a split, or forcing `actual_sides` to price the
+    reverse split of a merge.  Predictives use the masked collapsed factors
+    only (shared noise factors cancel between sides).
+    """
+    from tracemix.gibbs import _LAUNCH_SCANS, _pred_delta
+    hp = state.hp
+    S_a = state.Y[seed_a].copy()
+    S_b = state.Y[seed_b].copy()
+    n_a = 1.0
+    n_b = 1.0
+    sides = np.zeros(len(order), dtype=bool)  # True -> side a
+
+    def gap_for(Yt):
+        d_a = np.log(n_a) + _pred_delta(hp, S_a, n_a, Yt, mask)
+        d_b = np.log(n_b) + _pred_delta(hp, S_b, n_b, Yt, mask)
+        return d_a - d_b
+
+    # sequential launch
+    for i, t in enumerate(order):
+        Yt = state.Y[t]
+        gap = gap_for(Yt)
+        to_a = np.log(rng.random()) < -np.logaddexp(0.0, -gap)
+        if to_a:
+            S_a += Yt
+            n_a += 1.0
+        else:
+            S_b += Yt
+            n_b += 1.0
+        sides[i] = to_a
+
+    # restricted refinement scans
+    for _ in range(_LAUNCH_SCANS):
+        for i, t in enumerate(order):
+            Yt = state.Y[t]
+            if sides[i]:
+                S_a -= Yt
+                n_a -= 1.0
+            else:
+                S_b -= Yt
+                n_b -= 1.0
+            gap = gap_for(Yt)
+            to_a = np.log(rng.random()) < -np.logaddexp(0.0, -gap)
+            if to_a:
+                S_a += Yt
+                n_a += 1.0
+            else:
+                S_b += Yt
+                n_b += 1.0
+            sides[i] = to_a
+
+    # final scan carries the proposal probability
+    log_q = 0.0
+    for i, t in enumerate(order):
+        Yt = state.Y[t]
+        if sides[i]:
+            S_a -= Yt
+            n_a -= 1.0
+        else:
+            S_b -= Yt
+            n_b -= 1.0
+        gap = gap_for(Yt)
+        log_pa = -np.logaddexp(0.0, -gap)
+        log_pb = -np.logaddexp(0.0, gap)
+        if actual_sides is None:
+            to_a = np.log(rng.random()) < log_pa
+        else:
+            to_a = actual_sides[i]
+        log_q += log_pa if to_a else log_pb
+        if to_a:
+            S_a += Yt
+            n_a += 1.0
+        else:
+            S_b += Yt
+            n_b += 1.0
+        sides[i] = to_a
+    return log_q, sides

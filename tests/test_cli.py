@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tracemix import cli, ingest
+from tracemix import cli, gibbs, ingest
 
 import oracles
 
@@ -100,6 +100,40 @@ def test_round_trip_matches_reference(tmp_path):
     # one preload before the first slice, then one per closed slice
     last_slice = int(max(e.timestamp for e in operate) // NU)
     assert len(log.read_text().splitlines()) == 1 + last_slice
+
+
+def test_fit_diagnostics_count_draws_and_acceptances(tmp_path, monkeypatch):
+    trace, artifact = tmp_path / "trace.csv", tmp_path / "counts.npz"
+    write_msr(trace, motif_rows(16, np.random.default_rng(3)))
+    assert run("aggregate", "--trace", str(trace), "--out", str(artifact),
+               "--bins", "4") == cli.EXIT_OK
+    draws, accepted = [0], []
+    real_y, real_sm = gibbs.sample_y, gibbs.sample_split_merge
+
+    def count_y(*args):
+        draws[-1] += 1
+        return real_y(*args)
+
+    def count_sm(*args):
+        accepted.append(real_sm(*args))
+        draws.append(0)
+        return accepted[-1]
+
+    monkeypatch.setattr(gibbs, "sample_y", count_y)
+    monkeypatch.setattr(gibbs, "sample_split_merge", count_sm)
+    diagnostics = tmp_path / "diag.csv"
+    assert run("fit", "--artifact", str(artifact), "--out", str(tmp_path / "m.npz"),
+               "--kind", "dp-mmvp", "--iters", "4", "--burn-in", "2",
+               "--seed", "0", "--diagnostics", str(diagnostics)) == cli.EXIT_OK
+    with open(diagnostics, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["sweep", "joint_log_density", "K", "wall_clock",
+                                 "y_draws", "split_merge_accepted"]
+    assert [int(r["sweep"]) for r in rows] == [1, 2, 3, 4]
+    assert [int(r["y_draws"]) for r in rows] == draws[:-1]
+    assert [int(r["split_merge_accepted"]) for r in rows] == accepted
+    assert sum(draws) > 0
 
 
 def test_simulate_cuts_where_fit_cuts(tmp_path):
