@@ -81,6 +81,8 @@ def cmd_aggregate(args):
 
 def cmd_fit(args):
     cfg = _merge_config(args)
+    if cfg["chains"] < 1:
+        raise ConfigError("chains must be >= 1")
     seq = ingest.load_artifact(args.artifact)
     learn, _ = ingest.split_learn_operate(seq, cfg["split"])
     hp = Hyperparams()

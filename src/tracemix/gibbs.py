@@ -17,17 +17,21 @@ A sweep resamples only the latent pairs (j, l) whose counts X[t,j] and
 X[t,l] are both nonzero.  A zero count forces row j of Y[t] to be all zero,
 so the conditional of every pair in that row is a point mass at its current
 value; skipping those updates leaves the Markov kernel unchanged.
+
+Every predictive the sampler evaluates, for an existing cluster, a new one,
+the noise pools or a latent pair, is a sum of _log_gain terms, the one
+Poisson-Gamma predictive gain.
 """
 
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.special import betaln, gammaln, logsumexp
 
-from .models import Hyperparams, log_F, log_F_hat, log_poisson_table
+from .models import Hyperparams, log_marginal, log_poisson_table
 
 DP_MIP = "dp-mip"
 DP_MMVP = "dp-mmvp"
@@ -58,11 +62,12 @@ class _GammalnGrid:
 
     def take(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
-        mx = int(idx.max()) if idx.size else 0
-        if mx >= len(self.vals):
-            size = 1 << int(mx + 1).bit_length()
+        try:
+            return self.vals[idx]
+        except IndexError:
+            size = 1 << int(idx.max() + 1).bit_length()
             self.vals = gammaln(self.offset + np.arange(float(size)))
-        return self.vals[idx]
+            return self.vals[idx]
 
 
 _GRIDS = {}
@@ -73,6 +78,21 @@ def _grid(offset):
     if key not in _GRIDS:
         _GRIDS[key] = _GammalnGrid(offset)
     return _GRIDS[key]
+
+
+_UNIT = _grid(1.0)      # gammaln(1 + y) = log y!
+
+
+def _log_gain(S, n, y, shape, rate):
+    """Log predictive of adding counts y to a Gamma(shape, rate)-collapsed
+    Poisson factor that pools summed counts S over n observations:
+    log_marginal(S + y, n + 1, lf + log y!) - log_marginal(S, n, lf).
+    Elementwise over broadcast integer arrays."""
+    g = _grid(shape)
+    return (g.take(S + y) - g.take(S)
+            - (shape + S + y) * np.log(rate + n + 1.0)
+            + (shape + S) * np.log(rate + n)
+            - _UNIT.take(y))
 
 
 def is_temporal(kind):
@@ -100,24 +120,15 @@ class FitConfig:
     burn_in: int = 100
     thinning: int = 1
     wall_clock_limit: float = 4 * 3600.0
-    mh_samples: int = 20      # chain length for the new-cluster activity marginal
-    mh_flip_prob: float = 0.2  # per-coordinate flip probability of its proposal
     seed: int = 0
-    split_merge_moves: int = 10  # whole-cluster proposals per sweep; 0 disables
 
     def __post_init__(self):
         if not self.iterations > self.burn_in >= 0:
             raise ValueError("need iterations > burn_in >= 0")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if self.mh_samples < 1:
-            raise ValueError("mh_samples must be >= 1")
-        if not 0 < self.mh_flip_prob < 1:
-            raise ValueError("mh_flip_prob must lie in (0, 1)")
         if self.wall_clock_limit <= 0:
             raise ValueError("wall_clock_limit must be positive")
-        if self.split_merge_moves < 0:
-            raise ValueError("split_merge_moves must be >= 0")
 
 
 class GibbsState:
@@ -299,8 +310,8 @@ def _add_to_cluster(state, t, k):
 
 
 def _delete_cluster(state, k):
-    """Drop an empty cluster, folding its stick weight into the remainder and
-    relabeling the ids above it."""
+    """Drop cluster k once no slice is assigned to it, folding its stick
+    weight into the remainder and relabeling the ids above it."""
     keep = np.arange(state.K) != k
     state.n_k = state.n_k[keep]
     state.S = state.S[keep]
@@ -332,50 +343,6 @@ def _create_cluster(state, b_row, rng):
     return state.K - 1
 
 
-def _noise_gain(hp, x, S_hat, n_hat):
-    """Per-dimension predictive log-likelihood of adding diagonal counts x to
-    the noise pools."""
-    ga = _grid(hp.a_hat)
-    g1 = _grid(1.0)
-    s = S_hat.astype(float)
-    n = n_hat.astype(float)
-    return (ga.take(S_hat + x) - ga.take(S_hat)
-            - (hp.a_hat + s + x) * np.log(hp.b_hat + n + 1.0)
-            + (hp.a_hat + s) * np.log(hp.b_hat + n)
-            - g1.take(x))
-
-
-def _pred_delta(hp, S_k, n, Yt, mask):
-    """Predictive log-likelihood of pooling Yt's masked entries into a factor
-    group with summed counts S_k over n observations."""
-    s = S_k[mask]
-    y = Yt[mask]
-    ga = _grid(hp.a_bar)
-    g1 = _grid(1.0)
-    sf = s.astype(float)
-    yf = y.astype(float)
-    npairs = s.size
-    return float((ga.take(s + y) - ga.take(s)).sum()
-                 - np.log(hp.b_bar + n + 1.0) * ((sf + yf).sum() + npairs * hp.a_bar)
-                 + np.log(hp.b_bar + n) * (sf.sum() + npairs * hp.a_bar)
-                 - g1.take(y).sum())
-
-
-def _pred_delta_batch(hp, S, n, Yp, fm):
-    """_pred_delta for a stack of factor groups: row r pools Yp[r]'s entries
-    under mask fm[r] into summed counts S[r] over n[r] observations."""
-    ga = _grid(hp.a_bar)
-    g1 = _grid(1.0)
-    d_ga = (ga.take(S + Yp) - ga.take(S)) * fm
-    sums_sy = ((S + Yp) * fm).sum(axis=(1, 2)).astype(float)
-    sums_s = (S * fm).sum(axis=(1, 2)).astype(float)
-    pairs = fm.sum(axis=(1, 2)).astype(float)
-    return (d_ga.sum(axis=(1, 2))
-            - np.log(hp.b_bar + n + 1.0) * (sums_sy + pairs * hp.a_bar)
-            + np.log(hp.b_bar + n) * (sums_s + pairs * hp.a_bar)
-            - (g1.take(Yp) * fm).sum(axis=(1, 2)))
-
-
 def _project_batch(Yt, act):
     """Yt projected onto each activity row of act (R, M) bool, as
     _project_to_support does, with the upper-triangular masks of each row's
@@ -398,60 +365,33 @@ def f_existing(t, k, state):
     every active collapsed factor plus, for sparse kinds, the noise factors
     of k's inactive dimensions.
     """
-    if is_sparse(state.kind):
-        Yt = _project_to_support(state.Y[t], state.b[k])
-    else:
-        Yt = state.Y[t]
-    mask = _pair_mask(state.kind, state.b[k], state.M)
-    out = _pred_delta(state.hp, state.S[k], float(state.n_k[k]), Yt, mask)
-    if is_sparse(state.kind):
-        inact = state.b[k] == 0
-        if inact.any():
-            out += float(_noise_gain(state.hp, state.X[t][inact],
-                                     state.S_hat[inact], state.n_hat[inact]).sum())
-    return out
+    return _f_existing_batch(t, state)[k]
 
 
 def _f_existing_batch(t, state):
     """f_existing(t, k, state) for every existing k in one vectorized pass."""
-    K, M = state.K, state.M
-    if K == 0:
+    if state.K == 0:
         return np.zeros(0)
-    n = state.n_k.astype(float)
+    hp = state.hp
     if is_sparse(state.kind):
         act = state.b.astype(bool)
         Yp, fm = _project_batch(state.Y[t], act)
     else:
-        Yp = np.broadcast_to(state.Y[t], (K, M, M))
-        fm = np.broadcast_to(_pair_mask(state.kind, None, M), (K, M, M))
-    out = _pred_delta_batch(state.hp, state.S, n, Yp, fm)
+        Yp, fm = state.Y[t], _pair_mask(state.kind, None, state.M)
+    gain = _log_gain(state.S, state.n_k[:, None, None], Yp, hp.a_bar, hp.b_bar)
+    out = np.where(fm, gain, 0.0).sum(axis=(1, 2))
     if is_sparse(state.kind):
         # per-dimension noise predictive is cluster-independent
-        out += (~act).astype(float) @ _noise_gain(state.hp, state.X[t],
-                                                  state.S_hat, state.n_hat)
+        out += (~act).astype(float) @ _log_gain(state.S_hat, state.n_hat, state.X[t],
+                                                hp.a_hat, hp.b_hat)
     return out
-
-
-def _f_new_active(state, Yt, mask):
-    """Normalized log marginal of the masked entries under a fresh cluster."""
-    hp = state.hp
-    a, b = hp.a_bar, hp.b_bar
-    y = Yt[mask]
-    yf = y.astype(float)
-    ga = _grid(a)
-    g1 = _grid(1.0)
-    n_terms = y.size
-    return float(ga.take(y).sum()
-                 - np.log(b + 1.0) * (yf.sum() + n_terms * a)
-                 - g1.take(y).sum()
-                 - n_terms * (gammaln(a) - a * np.log(b)))
 
 
 def _f_new_const(state, t):
     """New-cluster log marginal for the non-sparse kinds (b fixed to all-ones
     or diagonal structure)."""
-    mask = _pair_mask(state.kind, np.ones(state.M, dtype=np.int8), state.M)
-    return _f_new_active(state, state.Y[t], mask)
+    return float(_log_gain(0, 0, state.Y[t][_pair_mask(state.kind, None, state.M)],
+                           state.hp.a_bar, state.hp.b_bar).sum())
 
 
 def f_new_sparse(t, state, rng, n_samples=20, flip_prob=0.2,
@@ -511,8 +451,8 @@ def f_new_sparse(t, state, rng, n_samples=20, flip_prob=0.2,
     vecs = np.frombuffer(b"".join(seen), dtype=np.int8).reshape(len(seen), M)
     act = vecs.astype(bool)
     Yp, fm = _project_batch(state.Y[t], act)
-    h = (_pred_delta_batch(hp, 0, 0.0, Yp, fm)
-         + (~act).astype(float) @ _noise_gain(hp, state.X[t], S_hat, n_hat))
+    h = (np.where(fm, _log_gain(0, 0, Yp, hp.a_bar, hp.b_bar), 0.0).sum(axis=(1, 2))
+         + (~act).astype(float) @ _log_gain(S_hat, n_hat, state.X[t], hp.a_hat, hp.b_hat))
     hs = h[visits]
     top = hs.max()
     log_marg = float(top + np.log(np.exp(hs - top).sum()) - np.log(n_samples))
@@ -521,66 +461,54 @@ def f_new_sparse(t, state, rng, n_samples=20, flip_prob=0.2,
     return log_marg
 
 
-def _instantiate_new_b(samples, hs, rng):
-    """Pick the new cluster's activity vector by importance-resampling the MH
-    samples with the conditional likelihood as weight."""
-    w = np.exp(hs - hs.max())
-    w /= w.sum()
-    idx = int(np.searchsorted(np.cumsum(w), rng.random(), side="right"))
-    return samples[idx].copy()
-
-
-def _finish_assignment(state, t, pick, K_before, new_b, rng):
-    if pick == K_before:
-        pick = _create_cluster(state, new_b, rng)
-    if is_sparse(state.kind):
-        state.Y[t] = _project_to_support(state.Y[t], state.b[pick])
-    _add_to_cluster(state, t, pick)
-    return pick
-
-
-def sample_z_dp(t, state, rng, n_mh_samples=20, mh_flip_prob=0.2):
+def sample_z_dp(t, state, rng):
     """Resample slice t's cluster under the exchangeable assignment prior."""
     if is_temporal(state.kind):
         raise ValueError("use sample_z_hdp for temporal kinds")
-    old_k = int(state.Z[t])
-    old_b = state.b[old_k].copy()
-    _remove_from_cluster(state, t)
-    if state.n_k[old_k] == 0:
-        _delete_cluster(state, old_k)
-    K = state.K
-    logw = np.empty(K + 1)
-    logw[:K] = np.log(state.n_k.astype(float)) + _f_existing_batch(t, state)
-    cand = None
-    if is_sparse(state.kind):
-        log_new, mh_samples, mh_hs = f_new_sparse(
-            t, state, rng, n_mh_samples, mh_flip_prob,
-            b_init=old_b, _return_samples=True)
-        cand = (mh_samples, mh_hs)
-    else:
-        log_new = _f_new_const(state, t)
-    logw[K] = np.log(state.hp.alpha) + log_new
-    pick = _categorical_from_log(logw, rng)
-    if pick == K:
-        new_b = (_instantiate_new_b(*cand, rng) if cand is not None
-                 else np.ones(state.M, dtype=np.int8))
-    else:
-        new_b = None
-    _finish_assignment(state, t, pick, K, new_b, rng)
-    return state
+    return _sample_z(t, state, rng)
 
 
-def sample_z_hdp(t, state, rng, n_mh_samples=20, mh_flip_prob=0.2):
+def sample_z_hdp(t, state, rng):
     """Resample slice t's cluster under the Markov assignment prior, with both
     the incoming edge from Z[t-1] and the outgoing edge to Z[t+1]."""
     if not is_temporal(state.kind):
         raise ValueError("use sample_z_dp for non-temporal kinds")
-    T = state.T
-    hp = state.hp
+    return _sample_z(t, state, rng)
+
+
+def _log_prior_z(state, prev_k, next_k):
+    """Log prior weights of the K existing clusters and a new one for a
+    detached slice: the CRP sizes for the exchangeable kinds; for the Markov
+    kinds, the terms of its edges from prev_k and to next_k (None at the ends
+    of the sequence)."""
+    K, alpha, beta = state.K, state.hp.alpha, state.beta
+    if not is_temporal(state.kind):
+        return np.log(np.append(state.n_k.astype(float), alpha))
+    in_f = alpha * beta[:K] + (state.n_trans[prev_k].astype(float)
+                               if prev_k is not None else 0.0)
+    out = np.log(np.append(in_f, alpha * beta[K]))
+    if next_k is not None:
+        num = alpha * beta[next_k] + state.n_trans[:, next_k].astype(float)
+        den = alpha + state.n_trans.sum(axis=1).astype(float)
+        if prev_k is not None:
+            if prev_k == next_k:
+                num[prev_k] += 1.0
+            den[prev_k] += 1.0
+        out[:K] += np.log(num) - np.log(den)
+        out[K] += np.log(beta[next_k])
+    return out
+
+
+def _sample_z(t, state, rng):
+    """The assignment step of both priors: detach slice t and its edges,
+    weigh every existing cluster and a new one, attach t to the draw.  A new
+    cluster takes its activity vector by importance-resampling the MH
+    samples of f_new_sparse with the conditional likelihood as weight."""
     old_k = int(state.Z[t])
     old_b = state.b[old_k].copy()
-    prev_k = int(state.Z[t - 1]) if t > 0 else None
-    next_k = int(state.Z[t + 1]) if t < T - 1 else None
+    temporal = is_temporal(state.kind)
+    prev_k = int(state.Z[t - 1]) if temporal and t > 0 else None
+    next_k = int(state.Z[t + 1]) if temporal and t < state.T - 1 else None
     if prev_k is not None:
         state.n_trans[prev_k, old_k] -= 1
     if next_k is not None:
@@ -592,41 +520,22 @@ def sample_z_hdp(t, state, rng, n_mh_samples=20, mh_flip_prob=0.2):
             prev_k -= 1
         if next_k is not None and next_k > old_k:
             next_k -= 1
-    K = state.K
-    alpha = hp.alpha
-    beta = state.beta
-    logw = np.empty(K + 1)
-    in_f = alpha * beta[:K] + (state.n_trans[prev_k].astype(float)
-                               if prev_k is not None else 0.0)
-    logw[:K] = np.log(in_f)
-    if next_k is not None:
-        num = alpha * beta[next_k] + state.n_trans[:, next_k].astype(float)
-        den = alpha + state.n_trans.sum(axis=1).astype(float)
-        if prev_k is not None:
-            if prev_k == next_k:
-                num[prev_k] += 1.0
-            den[prev_k] += 1.0
-        logw[:K] += np.log(num) - np.log(den)
-    logw[:K] += _f_existing_batch(t, state)
-    cand = None
-    if is_sparse(state.kind):
-        log_new, mh_samples, mh_hs = f_new_sparse(
-            t, state, rng, n_mh_samples, mh_flip_prob,
-            b_init=old_b, _return_samples=True)
-        cand = (mh_samples, mh_hs)
+    sparse = is_sparse(state.kind)
+    if sparse:
+        log_new, vecs, hs = f_new_sparse(t, state, rng, b_init=old_b,
+                                         _return_samples=True)
     else:
         log_new = _f_new_const(state, t)
-    lw = np.log(alpha * beta[K])
-    if next_k is not None:
-        lw += np.log(beta[next_k])
-    logw[K] = lw + log_new
+    logw = (_log_prior_z(state, prev_k, next_k)
+            + np.append(_f_existing_batch(t, state), log_new))
     pick = _categorical_from_log(logw, rng)
-    if pick == K:
-        new_b = (_instantiate_new_b(*cand, rng) if cand is not None
+    if pick == state.K:
+        new_b = (vecs[_categorical_from_log(hs, rng)] if sparse
                  else np.ones(state.M, dtype=np.int8))
-    else:
-        new_b = None
-    pick = _finish_assignment(state, t, pick, K, new_b, rng)
+        pick = _create_cluster(state, new_b, rng)
+    if sparse:
+        state.Y[t] = _project_to_support(state.Y[t], state.b[pick])
+    _add_to_cluster(state, t, pick)
     if prev_k is not None:
         state.n_trans[prev_k, pick] += 1
     if next_k is not None:
@@ -652,17 +561,12 @@ def sample_y(t, j, l, state, rng):
     rj = y0 + dj
     rl = y0 + dl
     v = np.arange(min(rj, rl) + 1, dtype=np.int64)
-    ga = _grid(hp.a_bar)
-    g1 = _grid(1.0)
-    log_bn = np.log(hp.b_bar + float(state.n_k[k]))
-    s_jl = int(state.S[k, j, l] - y0)
-    s_jj = int(state.S[k, j, j] - dj)
-    s_ll = int(state.S[k, l, l] - dl)
-    a3 = 3.0 * hp.a_bar
-    lw = (ga.take(s_jl + v) - g1.take(v)
-          + ga.take(s_jj + rj - v) - g1.take(rj - v)
-          + ga.take(s_ll + rl - v) - g1.take(rl - v)
-          - (a3 + s_jl + s_jj + s_ll + rj + rl - v) * log_bn)
+    # v moves from both diagonals onto the pair: the gains of the j-l, j-j
+    # and l-l factors without slice t; the terms free of v cancel in the draw
+    S = np.array([[int(state.S[k, j, l]) - y0], [int(state.S[k, j, j]) - dj],
+                  [int(state.S[k, l, l]) - dl]])
+    lw = _log_gain(S, int(state.n_k[k]) - 1, np.array([v, rj - v, rl - v]),
+                   hp.a_bar, hp.b_bar).sum(axis=0)
     pick = int(v[_categorical_from_log(lw, rng)])
     if pick != y0:
         new_dj = rj - pick
@@ -675,16 +579,6 @@ def sample_y(t, j, l, state, rng):
         Yt[j, j] = new_dj
         Yt[l, l] = new_dl
     return state
-
-
-def _norm_log_F(state, s, n, lf):
-    hp = state.hp
-    return (log_F(s, n, lf, hp) - log_F(0, 0, 0.0, hp))
-
-
-def _norm_log_F_hat(state, s, n, lf):
-    hp = state.hp
-    return (log_F_hat(s, n, lf, hp) - log_F_hat(0, 0, 0.0, hp))
 
 
 def sample_b(k, j, state, rng):
@@ -736,12 +630,13 @@ def sample_b(k, j, state, rng):
         noise1 = (state.S_hat[j] - sum_x, state.n_hat[j] - n, state.LF_hat[j] - glx)
         noise0 = (state.S_hat[j], state.n_hat[j], state.LF_hat[j])
 
-    side1 = (_norm_log_F(state, s1_jj, n, lf1_jj)
-             + _norm_log_F(state, s1_jl, n, lf1_jl).sum()
-             + _norm_log_F(state, s1_ll, n, lf1_ll).sum()
-             + _norm_log_F_hat(state, *noise1))
-    side0 = (_norm_log_F(state, s0_ll, n, lf0_ll).sum()
-             + _norm_log_F_hat(state, *noise0))
+    a, b = hp.a_bar, hp.b_bar
+    side1 = (log_marginal(s1_jj, n, lf1_jj, a, b)
+             + log_marginal(s1_jl, n, lf1_jl, a, b).sum()
+             + log_marginal(s1_ll, n, lf1_ll, a, b).sum()
+             + log_marginal(*noise1, hp.a_hat, hp.b_hat))
+    side0 = (log_marginal(s0_ll, n, lf0_ll, a, b).sum()
+             + log_marginal(*noise0, hp.a_hat, hp.b_hat))
     c_other = int(state.b[:, j].sum()) - cur
     side1 += np.log(c_other + hp.a_prime)
     side0 += np.log(state.K - 1 - c_other + hp.b_prime)
@@ -935,46 +830,29 @@ def _one_split_merge(state, rng, jld_cur):
     if j >= i:
         j += 1
     ki, kj = int(state.Z[i]), int(state.Z[j])
+    if ki != kj and is_sparse(state.kind) and not np.array_equal(state.b[ki], state.b[kj]):
+        return None
+    mask = _pair_mask(state.kind, state.b[ki], state.M)
+    members = np.flatnonzero((state.Z == ki) | (state.Z == kj))
+    order = members[(members != i) & (members != j)]
+    cand = state.clone()
     if ki == kj:
         # propose a split seeded at i and j
-        mask = _pair_mask(state.kind, state.b[ki], state.M)
-        members = np.flatnonzero(state.Z == ki)
-        order = members[(members != i) & (members != j)]
         log_q, sides = _allocation_scan(state, mask, order, i, j, rng)
-        cand = state.clone()
-        new_k = cand.K
-        cand.b = np.concatenate([cand.b, cand.b[ki:ki + 1]])
-        frac = rng.beta(1.0, state.hp.gamma)
-        rem = cand.beta[-1]
-        cand.beta = np.concatenate([cand.beta[:-1], [frac * rem, (1 - frac) * rem]])
-        cand.K += 1
+        new_k = _create_cluster(cand, cand.b[ki], rng)
         cand.Z[j] = new_k
         cand.Z[order[~sides]] = new_k
-        _refresh_stats(cand)
-        jld_cand = joint_log_density(cand)
-        log_accept = jld_cand - jld_cur - log_q
+        log_q = -log_q      # the forward allocation divides the ratio
     else:
-        if is_sparse(state.kind) and not np.array_equal(state.b[ki], state.b[kj]):
-            return None
-        # dry-run the split that would reconstruct the current pair
-        mask = _pair_mask(state.kind, state.b[ki], state.M)
-        members = np.flatnonzero((state.Z == ki) | (state.Z == kj))
-        order = members[(members != i) & (members != j)]
+        # propose the merge, pricing the split that would reconstruct the
+        # current pair by a dry run
         log_q, _ = _allocation_scan(state, mask, order, i, j, rng,
                                     actual_sides=state.Z[order] == ki)
-        cand = state.clone()
         cand.Z[cand.Z == kj] = ki
-        cand.Z[cand.Z > kj] -= 1
-        keep = np.arange(cand.K) != kj
-        cand.b = cand.b[keep]
-        w = cand.beta[kj]
-        cand.beta = np.delete(cand.beta, kj)
-        cand.beta[-1] += w
-        cand.K -= 1
-        _refresh_stats(cand)
-        jld_cand = joint_log_density(cand)
-        log_accept = jld_cand - jld_cur + log_q
-    if np.log(rng.random()) < log_accept:
+        _delete_cluster(cand, kj)
+    _refresh_stats(cand)
+    jld_cand = joint_log_density(cand)
+    if np.log(rng.random()) < jld_cand - jld_cur + log_q:
         _adopt(state, cand)
         return jld_cand
     return None
@@ -1002,15 +880,13 @@ def joint_log_density(state):
         c = state.b.sum(axis=0).astype(float)
         out += float((betaln(hp.a_prime + c, hp.b_prime + K - c)
                       - betaln(hp.a_prime, hp.b_prime)).sum())
-    const = log_F(0, 0, 0.0, hp)
     for k in range(K):
         mask = _pair_mask(state.kind, state.b[k], state.M)
-        out += float((log_F(state.S[k][mask], state.n_k[k], state.LF[k][mask], hp)
-                      - const).sum())
+        out += float(log_marginal(state.S[k][mask], state.n_k[k], state.LF[k][mask],
+                                  hp.a_bar, hp.b_bar).sum())
     if is_sparse(state.kind):
-        const_hat = log_F_hat(0, 0, 0.0, hp)
-        out += float((log_F_hat(state.S_hat, state.n_hat, state.LF_hat, hp)
-                      - const_hat).sum())
+        out += float(log_marginal(state.S_hat, state.n_hat, state.LF_hat,
+                                  hp.a_hat, hp.b_hat).sum())
     return out
 
 
@@ -1069,7 +945,7 @@ def run_gibbs(data, kind, hp=None, cfg=None):
     for sweep in range(1, cfg.iterations + 1):
         n_y = 0
         for t in range(state.T):
-            step_z(t, state, rng, cfg.mh_samples, cfg.mh_flip_prob)
+            step_z(t, state, rng)
             for (j, l) in _live_pairs(state, t):
                 sample_y(t, j, l, state, rng)
                 n_y += 1
@@ -1077,9 +953,7 @@ def run_gibbs(data, kind, hp=None, cfg=None):
             for k in range(state.K):
                 for j in range(state.M):
                     sample_b(k, j, state, rng)
-        accepted = 0
-        if cfg.split_merge_moves:
-            accepted = sample_split_merge(state, rng, cfg.split_merge_moves)
+        accepted = sample_split_merge(state, rng)
         sample_m_beta(state, rng)
         elapsed = time.monotonic() - started
         diag.rows.append((sweep, joint_log_density(state), state.K, elapsed))
@@ -1096,48 +970,16 @@ def run_gibbs(data, kind, hp=None, cfg=None):
     return samples, diag
 
 
-def _gaussian_moment_emissions(model, X):
-    """(T, K) emission scores from a moment-matched multivariate normal.
-
-    The count family's first two moments are exact here: mean mu_k, and
-    covariance equal to the rate matrix off the diagonal with the mean on it
-    (noise dims are independent with variance lambda_hat).  Unlike the
-    independent-Poisson mean approximation this keeps the covariance
-    structure visible, which is what separates the model family on
-    correlated data.  A 1/12 ridge accounts for count discreteness.
-    """
-    from scipy.stats import multivariate_normal
-    K, M = model.mu.shape
-    T = X.shape[0]
-    out = np.empty((T, K))
-    for k in range(K):
-        cov = np.array(model.Lambda[k], dtype=float)
-        np.fill_diagonal(cov, model.mu[k])
-        cov += np.eye(M) / 12.0
-        out[:, k] = multivariate_normal(mean=model.mu[k], cov=cov,
-                                        allow_singular=True).logpdf(X)
-    return out
-
-
-def heldout_loglik(model, data, emission="poisson-mean"):
+def heldout_loglik(model, data):
     """Forward-pass log-likelihood of a held-out slice sequence under the
-    point-estimate parameters.  Non-temporal fits carry mixture weights in
-    their transition rows, so the same pass covers them.
-
-    emission="poisson-mean" (default) scores slices with the per-cluster
-    independent-Poisson mean approximation; "gaussian-moment" scores them
-    with a moment-matched multivariate normal that retains the fitted
-    covariance structure.
+    point-estimate parameters, scoring slices with the per-cluster
+    independent-Poisson mean approximation.  Non-temporal fits carry mixture
+    weights in their transition rows, so the same pass covers them.
     """
     X = np.asarray(data.X if hasattr(data, "X") else data, dtype=np.int64)
     if X.shape[0] == 0:
         return 0.0
-    if emission == "poisson-mean":
-        emis = log_poisson_table(X, model.mu)
-    elif emission == "gaussian-moment":
-        emis = _gaussian_moment_emissions(model, X.astype(float))
-    else:
-        raise ValueError(f"unknown emission score {emission!r}")
+    emis = log_poisson_table(X, model.mu)
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.pi)
         log_pi0 = np.log(model.pi0)
@@ -1152,7 +994,6 @@ def heldout_loglik(model, data, emission="poisson-mean"):
 
 def save_checkpoint(state, path):
     """Serialize a sampler state; field order is fixed by key name."""
-    hp = state.hp
     np.savez(
         path,
         version=np.int64(CHECKPOINT_VERSION),
@@ -1162,8 +1003,7 @@ def save_checkpoint(state, path):
         n_k=state.n_k, S=state.S, LF=state.LF, b=state.b,
         beta=state.beta, n_trans=state.n_trans, m=state.m,
         S_hat=state.S_hat, n_hat=state.n_hat, LF_hat=state.LF_hat,
-        hp=np.array([hp.a_bar, hp.b_bar, hp.a_hat, hp.b_hat,
-                     hp.a_prime, hp.b_prime, hp.alpha, hp.gamma]),
+        hp=np.array(astuple(state.hp)),
     )
 
 

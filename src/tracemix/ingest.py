@@ -12,6 +12,7 @@ preload the cache).  Every consumer works on the columns; a list of
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -478,34 +479,47 @@ def split_learn_operate(seq: CountVectorSequence, fraction):
 # ---------------------------------------------------------------------------
 # Artifact round-trip
 
+def encode_sets(prefix, sets, binning: BinningConfig) -> dict:
+    """The .npz fields of ragged block-id sets and their binning: the sets
+    sorted and concatenated as int64 `{prefix}_flat`, cut by int64
+    `{prefix}_offsets`; the binning as an int64 vector plus `nu`."""
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)),
+              out=offsets[1:])
+    flat = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                       count=int(offsets[-1]))
+    bounds = offsets.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        flat[a:b].sort()
+    return {
+        f"{prefix}_flat": flat,
+        f"{prefix}_offsets": offsets,
+        "binning": np.asarray([binning.M, binning.lba_lo, binning.lba_hi,
+                               binning.block_size, int(binning.count_per_block)],
+                              dtype=np.int64),
+        "nu": np.float64(binning.nu),
+    }
+
+
+def decode_sets(z, prefix):
+    """(list of sets, BinningConfig) from the fields encode_sets wrote."""
+    flat = z[f"{prefix}_flat"]
+    offsets = z[f"{prefix}_offsets"].tolist()
+    m, lo, hi, bs, per_block = (int(v) for v in z["binning"])
+    binning = BinningConfig(M=m, lba_lo=lo, lba_hi=hi, nu=float(z["nu"]),
+                            block_size=bs, count_per_block=bool(per_block))
+    return [set(flat[a:b].tolist()) for a, b in zip(offsets, offsets[1:])], binning
+
+
 def save_artifact(seq: CountVectorSequence, path):
     """Write a count-vector sequence to a .npz artifact."""
-    flat = []
-    offsets = [0]
-    for acc in seq.A:
-        flat.extend(sorted(acc))
-        offsets.append(len(flat))
-    cfg = seq.config
-    np.savez(
-        path,
-        version=np.int64(ARTIFACT_VERSION),
-        X=seq.X,
-        A_flat=np.asarray(flat, dtype=np.int64),
-        A_offsets=np.asarray(offsets, dtype=np.int64),
-        binning=np.asarray([cfg.M, cfg.lba_lo, cfg.lba_hi, cfg.block_size,
-                            int(cfg.count_per_block)], dtype=np.int64),
-        nu=np.float64(cfg.nu),
-    )
+    np.savez(path, version=np.int64(ARTIFACT_VERSION), X=seq.X,
+             **encode_sets("A", seq.A, seq.config))
 
 
 def load_artifact(path) -> CountVectorSequence:
     with np.load(path) as z:
         if int(z["version"]) != ARTIFACT_VERSION:
             raise ValueError(f"unsupported artifact version {int(z['version'])}")
-        m, lo, hi, bs, per_block = (int(v) for v in z["binning"])
-        cfg = BinningConfig(M=m, lba_lo=lo, lba_hi=hi, nu=float(z["nu"]),
-                            block_size=bs, count_per_block=bool(per_block))
-        flat = z["A_flat"]
-        offsets = z["A_offsets"].tolist()
-        A = [set(flat[a:b].tolist()) for a, b in zip(offsets, offsets[1:])]
+        A, cfg = decode_sets(z, "A")
         return CountVectorSequence(z["X"], A, cfg)

@@ -8,6 +8,7 @@ Rates carry Gamma priors (shape/rate); integrating them out gives the
 ``log_F`` kernels that every sampler conditional is built from.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,19 @@ def log_F(S, n, log_fact_sum, hp: Hyperparams):
 def log_F_hat(S_hat, n_hat, log_fact_sum, hp: Hyperparams):
     """Same kernel with the noise-rate prior (a_hat, b_hat)."""
     return _log_f(S_hat, n_hat, log_fact_sum, hp.a_hat, hp.b_hat)
+
+
+@functools.cache
+def _log_f_empty(shape, rate):
+    """_log_f of an empty factor; it depends on the prior alone."""
+    return _log_f(0, 0, 0.0, shape, rate)
+
+
+def log_marginal(S, n, log_fact_sum, shape, rate):
+    """Normalised collapsed factor: the log marginal likelihood of n pooled
+    Poisson observations summing to S under a Gamma(shape, rate) prior, i.e.
+    the kernel minus its value on an empty factor.  Broadcast."""
+    return _log_f(S, n, log_fact_sum, shape, rate) - _log_f_empty(shape, rate)
 
 
 def mu_from_params(params: SMVPParams) -> np.ndarray:

@@ -6,13 +6,13 @@ per-coordinate Poisson mode, i.e. the floored mean) to pick the state whose
 raw accesses get preloaded.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigError
-from .ingest import BinningConfig
+from .ingest import BinningConfig, decode_sets, encode_sets
 from .models import Hyperparams, SMVPParams, log_poisson_table, mu_from_params
 from . import gibbs
 
@@ -203,12 +203,6 @@ def save_model(model: FittedModel, access_map: AccessMap, binning: BinningConfig
     """Write the fitted model, its access map and the binning it was trained
     under to a versioned .npz file (block ids as 64-bit integers)."""
     keys = sorted(access_map.H)
-    flat = []
-    offsets = [0]
-    for k in keys:
-        flat.extend(sorted(access_map.H[k]))
-        offsets.append(len(flat))
-    hp = model.hp
     np.savez(
         path,
         version=np.int64(MODEL_VERSION),
@@ -216,15 +210,9 @@ def save_model(model: FittedModel, access_map: AccessMap, binning: BinningConfig
         K=np.int64(model.K),
         pi=model.pi, pi0=model.pi0, mu=model.mu,
         Lambda=model.Lambda, lambda_hat=model.lambda_hat, b=model.b,
-        hp=np.array([hp.a_bar, hp.b_bar, hp.a_hat, hp.b_hat,
-                     hp.a_prime, hp.b_prime, hp.alpha, hp.gamma]),
+        hp=np.array(astuple(model.hp)),
         map_keys=np.asarray(keys, dtype=np.int64),
-        map_flat=np.asarray(flat, dtype=np.int64),
-        map_offsets=np.asarray(offsets, dtype=np.int64),
-        binning=np.asarray([binning.M, binning.lba_lo, binning.lba_hi,
-                            binning.block_size, int(binning.count_per_block)],
-                           dtype=np.int64),
-        nu=np.float64(binning.nu),
+        **encode_sets("map", [access_map.H[k] for k in keys], binning),
     )
 
 
@@ -238,11 +226,6 @@ def load_model(path):
             K=int(z["K"]), pi=z["pi"], pi0=z["pi0"], mu=z["mu"],
             Lambda=z["Lambda"], lambda_hat=z["lambda_hat"], b=z["b"],
             hp=hp, kind=str(z["kind"]))
-        flat = z["map_flat"]
-        offsets = z["map_offsets"].tolist()
-        H = {k: frozenset(flat[a:b].tolist())
-             for k, a, b in zip(z["map_keys"].tolist(), offsets, offsets[1:])}
-        m, lo, hi, bs, per_block = (int(v) for v in z["binning"])
-        binning = BinningConfig(M=m, lba_lo=lo, lba_hi=hi, nu=float(z["nu"]),
-                                block_size=bs, count_per_block=bool(per_block))
+        sets, binning = decode_sets(z, "map")
+        H = {k: frozenset(s) for k, s in zip(z["map_keys"].tolist(), sets)}
         return model, AccessMap(H), binning

@@ -33,7 +33,8 @@ def grid_poisson_gamma_marginal(ys, shape, rate, n_pts=400_000):
     lam = np.linspace(1e-12, hi, n_pts)
     log_f = (np.sum([stats.poisson.logpmf(y, lam) for y in ys], axis=0)
              + stats.gamma.logpdf(lam, a=shape, scale=1.0 / rate))
-    return np.trapezoid(np.exp(log_f), lam)
+    f = np.exp(log_f)
+    return float(((f[1:] + f[:-1]) * np.diff(lam)).sum() / 2.0)
 
 
 def poisson_gamma_marginal_exact(ys, shape, rate):
@@ -354,6 +355,17 @@ def reference_f_new_sparse(t, state, rng, n_samples=20, flip_prob=0.2,
     return float(logsumexp(hs) - np.log(n_samples)), samples, hs
 
 
+def _pred_delta(hp, S_k, n, Yt, mask):
+    """Log predictive of pooling Yt's masked entries into the active factors
+    with summed counts S_k over n observations."""
+    a, b = hp.a_bar, hp.b_bar
+    s = S_k[mask].astype(float)
+    y = Yt[mask].astype(float)
+    return float((gammaln(a + s + y) - gammaln(a + s) - gammaln(y + 1.0)
+                  - (a + s + y) * np.log(b + n + 1.0)
+                  + (a + s) * np.log(b + n)).sum())
+
+
 def reference_allocation_scan(state, mask, order, seed_a, seed_b, rng,
                               actual_sides=None):
     """Two-cluster launch-and-scan allocation of `order` slices.
@@ -364,7 +376,7 @@ def reference_allocation_scan(state, mask, order, seed_a, seed_b, rng,
     reverse split of a merge.  Predictives use the masked collapsed factors
     only (shared noise factors cancel between sides).
     """
-    from tracemix.gibbs import _LAUNCH_SCANS, _pred_delta
+    from tracemix.gibbs import _LAUNCH_SCANS
     hp = state.hp
     S_a = state.Y[seed_a].copy()
     S_b = state.Y[seed_b].copy()

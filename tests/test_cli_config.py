@@ -1,0 +1,21 @@
+"""Command-line settings that must fail as config errors before any work."""
+
+import numpy as np
+import pytest
+
+from tracemix import cli, ingest
+from tracemix.ingest import BinningConfig, CountVectorSequence
+
+
+@pytest.mark.parametrize("chains", ["0", "-1"])
+def test_fit_rejects_fewer_than_one_chain(tmp_path, capsys, chains):
+    artifact, out = tmp_path / "counts.npz", tmp_path / "m.npz"
+    X = np.array([[1, 0], [0, 2], [1, 1], [3, 0]])
+    ingest.save_artifact(CountVectorSequence(
+        X, [{1}, {2}, set(), {3}], BinningConfig(M=2, lba_lo=0, lba_hi=8192, nu=30.0)),
+        artifact)
+    code = cli.main(["fit", "--artifact", str(artifact), "--out", str(out),
+                     "--iters", "2", "--burn-in", "1", "--chains", chains])
+    assert code == cli.EXIT_CONFIG
+    assert "chains must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
