@@ -10,9 +10,9 @@ requests arrive.
 
 Inserting ascending distinct blocks b_1 < ... < b_n into an LRU cache of
 capacity C leaves exactly the last min(n, C) of them, in that order, whatever
-the cache held before.  So a preload places only the top C ids of the
-predicted set, which is sorted once per run; its volume and the preload log
-still count the whole set.
+the cache held before.  Access-map entries arrive as sorted distinct arrays,
+so a preload converts and places only the last C ids of the predicted set;
+its volume and the preload log still count the whole set.
 """
 
 import math
@@ -144,7 +144,8 @@ def simulate_preloading(events, model, access_map, binning: BinningConfig,
     trained under, fed to the decoder, and the predicted cluster's blocks are
     inserted in ascending id order.  Preload insertions are not counted as
     hits or misses.  An initial preload fires before any slice completes, and
-    every request, writes included, closes the slices before its own.
+    every request, writes included, closes the slices before its own.  When
+    preload_log is a list, each predicted array is appended to it.
     """
     if model.M != binning.M:
         raise ConfigError(
@@ -161,16 +162,13 @@ def simulate_preloading(events, model, access_map, binning: BinningConfig,
     hits = 0
     outcomes = [] if record_outcomes else None
     preload_volumes = []
-    ascending = {}  # predicted set -> its ids in ascending order
 
     def preload():
         predicted = predict.predict_blocks(decoder, model, access_map)
-        if predicted not in ascending:
-            ascending[predicted] = sorted(predicted)
-        cache.insert_distinct(ascending[predicted])
+        cache.insert_distinct(predicted[-capacity:].tolist())
         preload_volumes.append(len(predicted))
         if preload_log is not None:
-            preload_log.append(ascending[predicted])
+            preload_log.append(predicted)
 
     preload()  # before any slice completes, from the initial distribution
     for s in range(n_slices):

@@ -152,7 +152,7 @@ def cmd_simulate(args):
     if args.preload_log:
         with open(args.preload_log, "w") as fh:
             for i, blocks in enumerate(preload_log):
-                fh.write(f"{i},{len(blocks)},{' '.join(map(str, blocks))}\n")
+                fh.write(f"{i},{len(blocks)},{' '.join(map(str, blocks.tolist()))}\n")
     print(f"capacity={capacity} blocks | baseline {base.summary()}")
     print(f"capacity={capacity} blocks | preloading {pre.summary()}")
     print(f"hitrate ratio: {ratio:.2f}x")
@@ -160,8 +160,7 @@ def cmd_simulate(args):
 
 
 def cmd_gen_trace(args):
-    spec = (synth.spec_from_json(args.spec) if args.spec
-            else synth.default_trace_spec(seed=args.seed or 0))
+    spec = synth.spec_from_json(args.spec) if args.spec else synth.default_trace_spec()
     if args.seed is not None:
         spec.seed = args.seed
     events = synth.gen_block_trace(spec)

@@ -5,14 +5,14 @@ space.  `parse_trace` reads it into a columnar `Trace`: one array per field
 (timestamp, is_read, offset, size) plus the cache block size, in time order.
 For modeling we chop time into fixed-length slices and the address range
 into M equal bins, turning the trace into a sequence of M-dimensional count
-vectors plus, per slice, the raw set of block ids touched (used later to
-preload the cache).  Every consumer works on the columns; a list of
-`TraceEvent` records is converted once with `Trace.from_events`.
+vectors plus, per slice, the distinct block ids touched as a sorted int64
+array (used later to preload the cache).  Every consumer works on the
+columns; a list of `TraceEvent` records is converted once with
+`Trace.from_events`.
 """
 
 import csv
 import io
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -237,7 +237,9 @@ class BinningConfig:
 
 @dataclass
 class CountVectorSequence:
-    """T count vectors over M bins plus the per-slice raw block-access sets."""
+    """T count vectors over M bins plus the per-slice block-access sets: A[t]
+    holds the distinct block ids slice t touched, as a 1-D int64 array in
+    strictly increasing order."""
 
     X: np.ndarray
     A: list
@@ -452,8 +454,7 @@ def aggregate(events, config: BinningConfig, include_writes=False) -> CountVecto
         kept = kept.reads()
     T = kept.slice_count(config.nu)
     ids, bounds = kept.blocks_by_slice(config.nu, T)
-    flat = ids.tolist()
-    A = [set(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    A = [np.unique(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
     return CountVectorSequence(config.slice_counts(kept, T), A, config)
 
 
@@ -471,8 +472,8 @@ def split_learn_operate(seq: CountVectorSequence, fraction):
     """Split the slice sequence into learning and operating parts, in temporal
     order, at learn_cut(T, fraction)."""
     cut = learn_cut(len(seq), fraction)
-    learn = CountVectorSequence(seq.X[:cut].copy(), [set(a) for a in seq.A[:cut]], seq.config)
-    operate = CountVectorSequence(seq.X[cut:].copy(), [set(a) for a in seq.A[cut:]], seq.config)
+    learn = CountVectorSequence(seq.X[:cut].copy(), seq.A[:cut], seq.config)
+    operate = CountVectorSequence(seq.X[cut:].copy(), seq.A[cut:], seq.config)
     return learn, operate
 
 
@@ -480,20 +481,12 @@ def split_learn_operate(seq: CountVectorSequence, fraction):
 # Artifact round-trip
 
 def encode_sets(prefix, sets, binning: BinningConfig) -> dict:
-    """The .npz fields of ragged block-id sets and their binning: the sets
-    sorted and concatenated as int64 `{prefix}_flat`, cut by int64
+    """The .npz fields of ragged block-id sets and their binning: the sorted
+    int64 arrays concatenated as `{prefix}_flat`, cut by int64
     `{prefix}_offsets`; the binning as an int64 vector plus `nu`."""
-    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)),
-              out=offsets[1:])
-    flat = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
-                       count=int(offsets[-1]))
-    bounds = offsets.tolist()
-    for a, b in zip(bounds, bounds[1:]):
-        flat[a:b].sort()
     return {
-        f"{prefix}_flat": flat,
-        f"{prefix}_offsets": offsets,
+        f"{prefix}_flat": np.concatenate([np.zeros(0, dtype=np.int64), *sets]),
+        f"{prefix}_offsets": np.cumsum([0, *map(len, sets)], dtype=np.int64),
         "binning": np.asarray([binning.M, binning.lba_lo, binning.lba_hi,
                                binning.block_size, int(binning.count_per_block)],
                               dtype=np.int64),
@@ -502,13 +495,26 @@ def encode_sets(prefix, sets, binning: BinningConfig) -> dict:
 
 
 def decode_sets(z, prefix):
-    """(list of sets, BinningConfig) from the fields encode_sets wrote."""
-    flat = z[f"{prefix}_flat"]
-    offsets = z[f"{prefix}_offsets"].tolist()
+    """(list of sets, BinningConfig) from the fields encode_sets wrote.  The
+    sets are views into `{prefix}_flat`; a file whose offsets do not cut it
+    into strictly increasing segments raises ValueError."""
+    flat, offsets = z[f"{prefix}_flat"], z[f"{prefix}_offsets"]
+    if flat.dtype != np.int64 or flat.ndim != 1:
+        raise ValueError(f"{prefix}_flat must be a 1-D int64 array")
+    if (offsets.dtype != np.int64 or offsets.ndim != 1 or not len(offsets)
+            or offsets[0] != 0 or offsets[-1] != len(flat)
+            or (np.diff(offsets) < 0).any()):
+        raise ValueError(f"{prefix}_offsets must rise from 0 to len({prefix}_flat)")
+    # a step down may only fall between two segments
+    falls = np.diff(flat) <= 0
+    falls[offsets[(offsets > 0) & (offsets < len(flat))] - 1] = False
+    if falls.any():
+        raise ValueError(f"{prefix}_flat holds a segment that is not strictly increasing")
     m, lo, hi, bs, per_block = (int(v) for v in z["binning"])
     binning = BinningConfig(M=m, lba_lo=lo, lba_hi=hi, nu=float(z["nu"]),
                             block_size=bs, count_per_block=bool(per_block))
-    return [set(flat[a:b].tolist()) for a, b in zip(offsets, offsets[1:])], binning
+    bounds = offsets.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])], binning
 
 
 def save_artifact(seq: CountVectorSequence, path):

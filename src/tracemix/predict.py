@@ -18,6 +18,8 @@ from . import gibbs
 
 MODEL_VERSION = 1
 
+_NO_BLOCKS = np.zeros(0, dtype=np.int64)
+
 
 @dataclass
 class FittedModel:
@@ -53,12 +55,14 @@ class FittedModel:
 
 @dataclass(frozen=True)
 class AccessMap:
-    """Cluster id -> union of the raw block accesses of its training slices."""
+    """Cluster id -> union of the raw block accesses of its training slices,
+    as a sorted, distinct int64 array."""
 
     H: dict
 
-    def blocks_for(self, k):
-        return self.H.get(int(k), frozenset())
+    def blocks_for(self, k) -> np.ndarray:
+        """H(k), or an empty array for a cluster no training slice joined."""
+        return self.H.get(int(k), _NO_BLOCKS)
 
 
 @dataclass
@@ -125,13 +129,10 @@ def build_access_map(Z, A) -> AccessMap:
     """H(k) = union of the access sets of the slices assigned to cluster k."""
     if len(Z) != len(A):
         raise ValueError("Z and A must have the same length")
-    H = {}
-    for k, acc in zip(Z, A):
-        k = int(k)
-        if k not in H:
-            H[k] = set()
-        H[k].update(acc)
-    return AccessMap({k: frozenset(v) for k, v in H.items()})
+    members = {}
+    for k, acc in zip(np.asarray(Z).tolist(), A):
+        members.setdefault(k, []).append(acc)
+    return AccessMap({k: np.unique(np.concatenate(m)) for k, m in members.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +191,10 @@ def decode_path(state: DecoderState) -> np.ndarray:
 
 
 def predict_blocks(state: DecoderState, model: FittedModel,
-                   access_map: AccessMap) -> frozenset:
+                   access_map: AccessMap) -> np.ndarray:
     """Blocks to preload for the upcoming slice: the access-map entry of the
-    predicted next cluster (empty when the cluster was never seen)."""
+    predicted next cluster, a sorted int64 array (empty when the cluster was
+    never seen)."""
     return access_map.blocks_for(decoder_predict_next(state, model))
 
 
@@ -227,5 +229,5 @@ def load_model(path):
             Lambda=z["Lambda"], lambda_hat=z["lambda_hat"], b=z["b"],
             hp=hp, kind=str(z["kind"]))
         sets, binning = decode_sets(z, "map")
-        H = {k: frozenset(s) for k, s in zip(z["map_keys"].tolist(), sets)}
+        H = dict(zip(z["map_keys"].tolist(), sets, strict=True))
         return model, AccessMap(H), binning

@@ -7,7 +7,7 @@ non-goal.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,8 +48,18 @@ class SynthSpec:
             raise ValueError("transition rows must sum to 1")
         if len(self.clusters) != self.K_true:
             raise ValueError("need one parameter set per cluster")
-        if self.motifs is not None and any(len(m) == 0 for m in self.motifs):
-            raise ValueError("motifs must be non-empty")
+        if self.motifs is not None:
+            if any(len(m) == 0 for m in self.motifs):
+                raise ValueError("motifs must be non-empty")
+            if self.T < 1:
+                raise ValueError("trace mode needs T >= 1")
+            if self.pattern is not None and (not self.pattern or not all(
+                    isinstance(p, int) and 0 <= p < len(self.motifs)
+                    for p in self.pattern)):
+                raise ValueError("pattern must be a non-empty list of indices "
+                                 f"into the {len(self.motifs)} motifs")
+            if self.noise_rate > 0 and self.noise_block_range is None:
+                raise ValueError("noise_rate > 0 needs a noise_block_range")
 
 
 def gen_count_sequence(spec: SynthSpec, rng=None):
@@ -68,7 +78,7 @@ def gen_count_sequence(spec: SynthSpec, rng=None):
     config = BinningConfig(M=spec.M, lba_lo=0,
                            lba_hi=spec.M * spec.block_size, nu=spec.nu,
                            block_size=spec.block_size)
-    seq = CountVectorSequence(X, [set() for _ in range(spec.T)], config)
+    seq = CountVectorSequence(X, [np.zeros(0, np.int64) for _ in range(spec.T)], config)
     return seq, Z
 
 
@@ -182,14 +192,8 @@ def spec_from_json(path) -> SynthSpec:
     """Load a trace-mode spec from a config file."""
     with open(path) as fh:
         raw = json.load(fh)
-    base = default_trace_spec(seed=raw.get("seed", 0))
-    for key in ("T", "nu", "block_size", "noise_rate"):
-        if key in raw:
-            setattr(base, key, raw[key])
-    if "motifs" in raw:
-        base.motifs = [list(m) for m in raw["motifs"]]
-    if "pattern" in raw:
-        base.pattern = list(raw["pattern"])
-    if "noise_block_range" in raw:
-        base.noise_block_range = tuple(raw["noise_block_range"])
-    return base
+    keys = ("T", "nu", "block_size", "noise_rate", "motifs", "pattern",
+            "noise_block_range")
+    # replace() runs __post_init__, so the file's values are validated
+    return replace(default_trace_spec(seed=raw.get("seed", 0)),
+                   **{key: raw[key] for key in keys if key in raw})

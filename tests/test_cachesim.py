@@ -182,7 +182,8 @@ def test_perfect_oracle_map_beats_baseline():
                         Lambda=np.zeros((K, 2, 2)), lambda_hat=np.zeros(2),
                         b=np.ones((K, 2), dtype=np.int8), hp=Hyperparams(),
                         kind=gibbs.SPARSE_HMM_DP_MMVP)
-    amap = AccessMap({0: frozenset(set_a), 1: frozenset(set_b)})
+    amap = AccessMap({0: np.array(set_a, dtype=np.int64),
+                      1: np.array(set_b, dtype=np.int64)})
     pre = simulate_preloading(events, model, amap, cfg, cap)
     assert pre.hitrate >= base.hitrate
     assert pre.hitrate > 0.8
@@ -191,7 +192,7 @@ def test_perfect_oracle_map_beats_baseline():
 def test_preload_insertions_not_counted():
     events = [read(15.0, 5)]  # one slice boundary passes before this read
     model = identity_model(1)
-    amap = AccessMap({0: frozenset({1, 2, 3})})
+    amap = AccessMap({0: np.array([1, 2, 3], dtype=np.int64)})
     rep = simulate_preloading(events, model, amap, binning(), 10)
     assert rep.hits + rep.misses == 1
     assert rep.preload_volumes[0] == 3
@@ -201,7 +202,7 @@ def test_preload_eviction_order_is_ascending():
     # capacity 2: inserting {1, 2, 3} ascending keeps the two highest ids
     events = [read(15.0, 3), read(15.1, 2), read(15.2, 1)]
     model = identity_model(1)
-    amap = AccessMap({0: frozenset({1, 2, 3})})
+    amap = AccessMap({0: np.array([1, 2, 3], dtype=np.int64)})
     rep = simulate_preloading(events, model, amap, binning(), 2,
                               record_outcomes=True)
     assert rep.outcomes[0] is True    # 3 stayed

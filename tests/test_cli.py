@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tracemix import cli, gibbs, ingest
+from tracemix import cli, gibbs, ingest, synth
 
 import oracles
 
@@ -170,3 +170,20 @@ def test_simulate_without_operating_reads_is_a_config_error(tmp_path, capsys):
     assert run("simulate", "--trace", str(trace), "--model", str(model)) == cli.EXIT_CONFIG
     out = capsys.readouterr()
     assert "config error" in out.err and "inf" not in out.out
+
+
+def test_gen_trace_default_spec(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert cli.main(["gen-trace", "--out", str(out)]) == cli.EXIT_OK
+    want = synth.gen_block_trace(synth.default_trace_spec())
+    assert len(ingest.parse_trace(out, format_id="plain")) == len(want)
+    assert f"wrote {len(want)} events over 400 slices" in capsys.readouterr().out
+
+
+def test_gen_trace_spec_file(tmp_path):
+    spec, out = tmp_path / "spec.json", tmp_path / "trace.csv"
+    spec.write_text('{"T": 6, "motifs": [[1, 2], [3]], "pattern": [1, 0], '
+                    '"noise_rate": 0, "seed": 4}')
+    assert cli.main(["gen-trace", "--spec", str(spec), "--out", str(out)]) == cli.EXIT_OK
+    trace = ingest.parse_trace(out, format_id="plain")
+    assert (trace.offset // 4096).tolist() == [3, 1, 2] * 3

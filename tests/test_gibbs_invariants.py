@@ -33,7 +33,7 @@ def fuzz_data(T=12, M=3, seed=0):
     X = np.vstack([rng.poisson([3.0, 0.2, 1.5]) for _ in range(T)])
     from tracemix.ingest import BinningConfig, CountVectorSequence
     cfg = BinningConfig(M=M, lba_lo=0, lba_hi=M * 4096, nu=30.0)
-    return CountVectorSequence(X, [set() for _ in range(T)], cfg)
+    return CountVectorSequence(X, [np.zeros(0, dtype=np.int64)] * T, cfg)
 
 
 @pytest.mark.parametrize("kind,sweeps", [
@@ -160,7 +160,7 @@ def test_init_state_zero_data():
     from tracemix.ingest import BinningConfig, CountVectorSequence
     cfg = BinningConfig(M=2, lba_lo=0, lba_hi=100, nu=1.0)
     data = CountVectorSequence(np.zeros((3, 2), dtype=np.int64),
-                               [set()] * 3, cfg)
+                               [np.zeros(0, dtype=np.int64)] * 3, cfg)
     state = gibbs.init_state(data, gibbs.SPARSE_DP_MMVP, Hyperparams(),
                              np.random.default_rng(0))
     assert state.K == 1

@@ -289,7 +289,7 @@ def test_aggregate_empty_slice_is_zero():
     events = make_events([(0.0, "read", 10, 1), (25.0, "read", 10, 1)])
     seq = aggregate(events, cfg())
     assert np.array_equal(seq.X[1], [0, 0])
-    assert seq.A[1] == set()
+    assert seq.A[1].dtype == np.int64 and seq.A[1].tolist() == []
 
 
 def test_aggregate_direct_histogram():
@@ -320,7 +320,7 @@ def test_aggregate_excludes_writes_by_default():
     events = make_events([(0.0, "read", 10, 1), (1.0, "write", 10, 1)])
     seq = aggregate(events, cfg())
     assert seq.X.sum() == 1
-    assert seq.A[0] == {0}
+    assert seq.A[0].tolist() == sorted({0})
     both = aggregate(events, cfg(), include_writes=True)
     assert both.X.sum() == 2
 
@@ -361,7 +361,8 @@ def test_aggregate_determinism():
     events = make_events([(0.0, "read", 10, 1), (5.5, "read", 90, 1)])
     a = aggregate(events, cfg())
     b = aggregate(events, cfg())
-    assert np.array_equal(a.X, b.X) and a.A == b.A
+    assert np.array_equal(a.X, b.X)
+    assert [s.tolist() for s in a.A] == [s.tolist() for s in b.A]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +370,7 @@ def test_aggregate_determinism():
 
 def seq_of_length(T, M=2):
     return CountVectorSequence(np.arange(T * M).reshape(T, M),
-                               [set([t]) for t in range(T)], cfg())
+                               [np.array([t], dtype=np.int64) for t in range(T)], cfg())
 
 
 def test_split_even():
@@ -430,8 +431,29 @@ def test_artifact_roundtrip(tmp_path):
     save_artifact(seq, path)
     back = load_artifact(path)
     assert np.array_equal(back.X, seq.X)
-    assert back.A == seq.A
+    assert [a.tolist() for a in back.A] == [sorted(a.tolist()) for a in seq.A]
     assert back.config == seq.config
+
+
+def test_access_sets_are_strictly_increasing_int64(tmp_path):
+    # overlapping multi-block reads and writes, several per slice, so the
+    # covered ids repeat and arrive out of order within a slice
+    rng = np.random.default_rng(21)
+    events = make_events(sorted(
+        ((float(rng.uniform(0, 100)), str(rng.choice(["read", "write"])),
+          int(rng.integers(0, 200)) * 1000, int(rng.integers(1, 20_000)))
+         for _ in range(300)), key=lambda s: s[0]))
+    seq = aggregate(events, cfg(hi=300_000))
+    path = tmp_path / "counts.npz"
+    save_artifact(seq, path)
+    for A in (seq.A, load_artifact(path).A):
+        assert len(A) == len(seq)
+        for t, a in enumerate(A):
+            assert a.dtype == np.int64 and a.ndim == 1
+            assert (np.diff(a) > 0).all()
+            want = {b for e in events if e.op == "read"
+                    and int(e.timestamp // 10.0) == t for b in e.block_ids}
+            assert a.tolist() == sorted(want)
 
 
 def test_artifact_bytes_deterministic(tmp_path):

@@ -105,34 +105,40 @@ def test_estimate_pi_rows_mixture_for_nontemporal():
 # access map
 
 def test_access_map_union():
-    amap = build_access_map([1, 1], [{10}, {20}])
-    assert amap.blocks_for(1) == {10, 20}
+    amap = build_access_map([1, 1], [np.array([10], dtype=np.int64),
+                                     np.array([20], dtype=np.int64)])
+    assert amap.blocks_for(1).tolist() == sorted({10, 20})
 
 
 def test_access_map_missing_cluster_absent():
-    amap = build_access_map([0, 0], [{1}, {2}])
-    assert amap.blocks_for(5) == frozenset()
+    amap = build_access_map([0, 0], [np.array([1], dtype=np.int64),
+                                     np.array([2], dtype=np.int64)])
+    assert amap.blocks_for(5).dtype == np.int64
+    assert amap.blocks_for(5).tolist() == []
     assert 5 not in amap.H
 
 
 def test_access_map_matches_bruteforce():
     rng = np.random.default_rng(4)
     Z = rng.integers(0, 4, size=50)
-    A = [set(rng.integers(0, 100, size=rng.integers(0, 8)).tolist())
-         for _ in range(50)]
+    sets = [set(rng.integers(0, 100, size=rng.integers(0, 8)).tolist())
+            for _ in range(50)]
+    A = [np.array(sorted(s), dtype=np.int64) for s in sets]
     amap = build_access_map(Z, A)
     for k in range(4):
         want = set()
         for t in range(50):
             if Z[t] == k:
-                want |= A[t]
+                want |= sets[t]
         if want or (Z == k).any():
-            assert amap.blocks_for(k) == want
+            assert amap.blocks_for(k).dtype == np.int64
+            assert amap.blocks_for(k).tolist() == sorted(want)
 
 
 def test_access_map_length_mismatch():
     with pytest.raises(ValueError):
-        build_access_map([0], [{1}, {2}])
+        build_access_map([0], [np.array([1], dtype=np.int64),
+                               np.array([2], dtype=np.int64)])
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +250,14 @@ def test_emission_shift_invariance():
 
 def test_predict_blocks_composition():
     model = toy_model(K=2, M=2, seed=10)
-    amap = AccessMap({0: frozenset({1, 2}), 1: frozenset({9})})
+    amap = AccessMap({0: np.array([1, 2], dtype=np.int64),
+                      1: np.array([9], dtype=np.int64)})
     dec = new_decoder(model)
     k = decoder_predict_next(dec, model)
-    assert predict_blocks(dec, model, amap) == amap.blocks_for(k)
+    assert predict_blocks(dec, model, amap).tolist() == amap.blocks_for(k).tolist()
     empty = AccessMap({})
-    assert predict_blocks(dec, model, empty) == frozenset()
+    assert predict_blocks(dec, model, empty).dtype == np.int64
+    assert predict_blocks(dec, model, empty).tolist() == []
 
 
 def test_prediction_latency_budget():
@@ -272,7 +280,7 @@ def test_heldout_single_cluster():
     model = toy_model(K=1, M=2, seed=13)
     X = np.array([[1, 2], [0, 4]])
     cfg = BinningConfig(M=2, lba_lo=0, lba_hi=10, nu=1.0)
-    seq = CountVectorSequence(X, [set(), set()], cfg)
+    seq = CountVectorSequence(X, [np.zeros(0, dtype=np.int64)] * 2, cfg)
     want = sum(log_poisson_vec(x, model.mu[0]) for x in X)
     assert gibbs.heldout_loglik(model, seq) == pytest.approx(want)
 
@@ -302,7 +310,8 @@ def test_heldout_monotone_in_prefix():
 
 def test_model_roundtrip(tmp_path):
     model = toy_model(K=3, M=4, seed=17, kind=gibbs.SPARSE_HMM_DP_MMVP)
-    amap = AccessMap({0: frozenset({1, 5}), 2: frozenset({7})})
+    blocks = {0: {1, 5}, 2: {7}}
+    amap = AccessMap({k: np.array(sorted(s), dtype=np.int64) for k, s in blocks.items()})
     binning = BinningConfig(M=4, lba_lo=0, lba_hi=1000, nu=30.0)
     path = tmp_path / "model.npz"
     save_model(model, amap, binning, path)
@@ -311,7 +320,8 @@ def test_model_roundtrip(tmp_path):
     assert np.allclose(back.pi, model.pi)
     assert np.allclose(back.mu, model.mu)
     assert back.hp == model.hp
-    assert amap2.H == amap.H
+    assert {k: v.tolist() for k, v in amap2.H.items()} == \
+        {k: sorted(s) for k, s in blocks.items()}
     assert binning2 == binning
     X = np.random.default_rng(18).integers(0, 5, size=(6, 4))
     assert gibbs.heldout_loglik(back, X) == pytest.approx(
