@@ -1,7 +1,7 @@
 """tracemix: mine block I/O traces for long-range access patterns with
 non-parametric temporal count mixtures, then preload a simulated cache."""
 
-from .models import (Hyperparams, MVPParams, SMVPParams, log_F, log_F_hat,
+from .models import (Hyperparams, MVPParams, SMVPParams,
                      log_poisson_vec, mu_from_params, sample_mvp, sample_smvp)
 from .ingest import (BinningConfig, CountVectorSequence, Trace, TraceEvent,
                      aggregate, parse_trace, split_learn_operate)

@@ -29,9 +29,8 @@ import time
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln, logsumexp
 
-from .models import Hyperparams, log_marginal, log_poisson_table
+from .models import _UNIT, Hyperparams, _grid, log_marginal, log_poisson_table
 
 DP_MIP = "dp-mip"
 DP_MMVP = "dp-mmvp"
@@ -49,38 +48,6 @@ CHECKPOINT_VERSION = 1
 _B_INIT_MEAN = 0.25
 
 _BETA_FLOOR = 1e-12
-
-
-class _GammalnGrid:
-    """gammaln(offset + i) for non-negative integers i, grown on demand.
-    The sampler evaluates gammaln only on shifted-integer grids, so a lookup
-    beats recomputing the transcendental in the hot loops."""
-
-    def __init__(self, offset):
-        self.offset = float(offset)
-        self.vals = gammaln(self.offset + np.arange(1024.0))
-
-    def take(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        try:
-            return self.vals[idx]
-        except IndexError:
-            size = 1 << int(idx.max() + 1).bit_length()
-            self.vals = gammaln(self.offset + np.arange(float(size)))
-            return self.vals[idx]
-
-
-_GRIDS = {}
-
-
-def _grid(offset):
-    key = round(float(offset), 12)
-    if key not in _GRIDS:
-        _GRIDS[key] = _GammalnGrid(offset)
-    return _GRIDS[key]
-
-
-_UNIT = _grid(1.0)      # gammaln(1 + y) = log y!
 
 
 def _log_gain(S, n, y, shape, rate):
@@ -200,7 +167,7 @@ def recompute_stats(state):
     n_k = np.bincount(state.Z, minlength=K).astype(np.int64)
     S = np.zeros((K, M, M), dtype=np.int64)
     LF = np.zeros((K, M, M), dtype=float)
-    gl = gammaln(state.Y + 1.0)
+    gl = _UNIT.take(state.Y)
     for k in range(K):
         sel = state.Z == k
         S[k] = state.Y[sel].sum(axis=0)
@@ -212,7 +179,7 @@ def recompute_stats(state):
     inact = (1 - state.b[state.Z]).astype(np.int64)
     S_hat = (diag * inact).sum(axis=0)
     n_hat = inact.sum(axis=0)
-    LF_hat = (gammaln(diag + 1.0) * inact).sum(axis=0)
+    LF_hat = (_UNIT.take(diag) * inact).sum(axis=0)
     return n_k, S, LF, n_trans, S_hat, n_hat, LF_hat
 
 
@@ -280,7 +247,7 @@ def _remove_from_cluster(state, t):
     k = int(state.Z[t])
     Yt = state.Y[t]
     state.S[k] -= Yt
-    state.LF[k] -= gammaln(Yt + 1.0)
+    state.LF[k] -= _UNIT.take(Yt)
     state.n_k[k] -= 1
     if is_sparse(state.kind):
         inact = state.b[k] == 0
@@ -288,7 +255,7 @@ def _remove_from_cluster(state, t):
             d = Yt.diagonal()[inact]
             state.S_hat[inact] -= d
             state.n_hat[inact] -= 1
-            state.LF_hat[inact] -= gammaln(d + 1.0)
+            state.LF_hat[inact] -= _UNIT.take(d)
     state.Z[t] = -1
     return k
 
@@ -297,7 +264,7 @@ def _add_to_cluster(state, t, k):
     """Attach slice t (whose Y must already match cluster k's support)."""
     Yt = state.Y[t]
     state.S[k] += Yt
-    state.LF[k] += gammaln(Yt + 1.0)
+    state.LF[k] += _UNIT.take(Yt)
     state.n_k[k] += 1
     if is_sparse(state.kind):
         inact = state.b[k] == 0
@@ -305,7 +272,7 @@ def _add_to_cluster(state, t, k):
             d = Yt.diagonal()[inact]
             state.S_hat[inact] += d
             state.n_hat[inact] += 1
-            state.LF_hat[inact] += gammaln(d + 1.0)
+            state.LF_hat[inact] += _UNIT.take(d)
     state.Z[t] = k
 
 
@@ -571,10 +538,14 @@ def sample_y(t, j, l, state, rng):
     if pick != y0:
         new_dj = rj - pick
         new_dl = rl - pick
-        for (r, c, old, new) in ((j, l, y0, pick), (l, j, y0, pick),
-                                 (j, j, dj, new_dj), (l, l, dl, new_dl)):
+        # log y! of the new pair and diagonal values, then of the old ones
+        g = _UNIT.take((pick, new_dj, new_dl, y0, dj, dl)).tolist()
+        for (r, c, old, new, d_lf) in ((j, l, y0, pick, g[0] - g[3]),
+                                       (l, j, y0, pick, g[0] - g[3]),
+                                       (j, j, dj, new_dj, g[1] - g[4]),
+                                       (l, l, dl, new_dl, g[2] - g[5])):
             state.S[k, r, c] += new - old
-            state.LF[k, r, c] += gammaln(new + 1.0) - gammaln(old + 1.0)
+            state.LF[k, r, c] += d_lf
         Yt[j, l] = Yt[l, j] = pick
         Yt[j, j] = new_dj
         Yt[l, l] = new_dl
@@ -601,7 +572,7 @@ def sample_b(k, j, state, rng):
     others = np.where((state.b[k] == 1) & (np.arange(M) != j))[0]
     x_j = state.X[members, j]
     sum_x = int(x_j.sum())
-    glx = float(gammaln(x_j + 1.0).sum())
+    glx = float(_UNIT.take(x_j).sum())
     diag_mem = np.einsum("tjj->tj", state.Y[members])
 
     if cur == 1:
@@ -614,14 +585,14 @@ def sample_b(k, j, state, rng):
         off = state.Y[members][:, j, :].copy()
         off[:, j] = 0
         s0_ll = s1_ll + off[:, others].sum(axis=0)
-        lf0_ll = lf1_ll + (gammaln(diag_mem[:, others] + off[:, others] + 1.0)
-                           - gammaln(diag_mem[:, others] + 1.0)).sum(axis=0)
+        lf0_ll = lf1_ll + (_UNIT.take(diag_mem[:, others] + off[:, others])
+                           - _UNIT.take(diag_mem[:, others])).sum(axis=0)
         noise1 = (state.S_hat[j], state.n_hat[j], state.LF_hat[j])
         noise0 = (state.S_hat[j] + sum_x, state.n_hat[j] + n, state.LF_hat[j] + glx)
     else:
         s1_jj = sum_x
         lf1_jj = glx
-        s1_jl = np.zeros(len(others))
+        s1_jl = np.zeros(len(others), dtype=np.int64)
         lf1_jl = np.zeros(len(others))
         s1_ll = state.S[k, others, others]
         lf1_ll = state.LF[k, others, others]
@@ -668,7 +639,7 @@ def sample_b(k, j, state, rng):
         state.LF[k, j, j] = glx
         state.S[k, idx, idx] += col_moved * keep
         new_diag = diag_mem + off
-        lf_diag = gammaln(new_diag + 1.0).sum(axis=0)
+        lf_diag = _UNIT.take(new_diag).sum(axis=0)
         state.LF[k, idx[keep], idx[keep]] = lf_diag[keep]
         state.S_hat[j] += sum_x
         state.n_hat[j] += n
@@ -871,15 +842,25 @@ def joint_log_density(state):
     if is_temporal(state.kind):
         ab = hp.alpha * state.beta[:K]
         out += float(np.log(state.beta[state.Z[0]]))
-        out += float(K * gammaln(hp.alpha) - gammaln(hp.alpha + state.n_trans.sum(axis=1)).sum())
-        out += float((gammaln(ab[None, :] + state.n_trans) - gammaln(ab[None, :])).sum())
+        out += float(K * math.lgamma(hp.alpha)
+                     - _grid(hp.alpha).take(state.n_trans.sum(axis=1)).sum())
+        # beta is resampled, so alpha * beta + n has no fixed offset; a zero
+        # count contributes lgamma(x) - lgamma(x) = 0, so only the visited
+        # transitions are evaluated
+        src, dst = np.nonzero(state.n_trans)
+        out += sum(math.lgamma(x + n) - math.lgamma(x)
+                   for x, n in zip(ab[dst].tolist(), state.n_trans[src, dst].tolist()))
     else:
-        out += float(K * np.log(hp.alpha) + gammaln(state.n_k.astype(float)).sum()
+        # every cluster is non-empty, so n_k - 1 indexes lgamma(n_k)
+        out += float(K * np.log(hp.alpha) + _UNIT.take(state.n_k - 1).sum()
                      - np.log(hp.alpha + np.arange(T, dtype=float)).sum())
     if is_sparse(state.kind):
-        c = state.b.sum(axis=0).astype(float)
-        out += float((betaln(hp.a_prime + c, hp.b_prime + K - c)
-                      - betaln(hp.a_prime, hp.b_prime)).sum())
+        # betaln(a' + c, b' + K - c) - betaln(a', b') per dimension
+        a, b = hp.a_prime, hp.b_prime
+        c = state.b.sum(axis=0)
+        beta0 = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        out += float((_grid(a).take(c) + _grid(b).take(K - c)
+                      - _grid(a + b).take(K) - beta0).sum())
     for k in range(K):
         mask = _pair_mask(state.kind, state.b[k], state.M)
         out += float(log_marginal(state.S[k][mask], state.n_k[k], state.LF[k][mask],
@@ -985,8 +966,17 @@ def heldout_loglik(model, data):
         log_pi0 = np.log(model.pi0)
     fwd = log_pi0 + emis[0]
     for t in range(1, X.shape[0]):
-        fwd = logsumexp(fwd[:, None] + log_pi, axis=0) + emis[t]
-    return float(logsumexp(fwd))
+        fwd = _log_sum_exp(fwd[:, None] + log_pi) + emis[t]
+    return float(_log_sum_exp(fwd))
+
+
+def _log_sum_exp(a):
+    """log(sum(exp(a), axis=0)) shifted by the column maximum; an all -inf
+    column gives -inf."""
+    top = a.max(axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=0)) + top
 
 
 # ---------------------------------------------------------------------------

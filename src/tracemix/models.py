@@ -5,14 +5,57 @@ Poisson entries and emits X = Y @ 1, so off-diagonal rates double as pairwise
 covariances.  The sparse variant restricts the correlated block to an active
 dimension subset b and models everything else as low-rate independent noise.
 Rates carry Gamma priors (shape/rate); integrating them out gives the
-``log_F`` kernels that every sampler conditional is built from.
+collapsed kernel ``log_marginal`` (the paper's F) that every sampler
+conditional is built from.
+
+Every log-gamma in the package comes from ``math.lgamma``.  Nearly every
+argument is a fixed offset (a hyperparameter shape, or 1 for log y!) plus a
+non-negative integer count, so it is a lookup into the ``_GammalnGrid`` of
+that offset, kept here.  The one exception, alpha * beta + n in the temporal
+joint density, calls ``math.lgamma`` directly.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+
+
+class _GammalnGrid:
+    """lgamma(offset + i) for non-negative integers i, grown on demand.
+    A lookup replaces the transcendental in the sampler's hot loops, the
+    collapsed marginals, the joint density and the Poisson pmfs."""
+
+    def __init__(self, offset):
+        self.offset = float(offset)
+        self.vals = np.zeros(0)
+        self._grow(1024)
+
+    def _grow(self, size):
+        self.vals = np.append(self.vals, [math.lgamma(self.offset + i)
+                                          for i in range(len(self.vals), size)])
+
+    def take(self, idx):
+        idx = np.asarray(idx, dtype=np.int64)
+        try:
+            return self.vals[idx]
+        except IndexError:
+            self._grow(1 << int(idx.max() + 1).bit_length())
+            return self.vals[idx]
+
+
+_GRIDS = {}
+
+
+def _grid(offset):
+    try:
+        return _GRIDS[offset]
+    except KeyError:
+        return _GRIDS.setdefault(offset, _GammalnGrid(offset))
+
+
+_UNIT = _grid(1.0)      # lgamma(1 + y) = log y!
 
 
 @dataclass(frozen=True)
@@ -124,26 +167,11 @@ def sample_smvp(params: SMVPParams, rng) -> np.ndarray:
 
 
 def _log_f(s, n, log_fact_sum, shape, rate):
-    """log Gamma(shape+s) - (shape+s) log(rate+n) - log_fact_sum, broadcast."""
-    s = np.asarray(s, dtype=float)
+    """log Gamma(shape+s) - (shape+s) log(rate+n) - log_fact_sum, broadcast
+    over integer counts s."""
+    s = np.asarray(s, dtype=np.int64)
     n = np.asarray(n, dtype=float)
-    return gammaln(shape + s) - (shape + s) * np.log(rate + n) - log_fact_sum
-
-
-def log_F(S, n, log_fact_sum, hp: Hyperparams):
-    """Collapsed log-kernel of a Poisson-Gamma factor over active rates.
-
-    S is the summed count, n the number of pooled observations and
-    log_fact_sum the accumulated log(Y!) terms.  Computed in log space;
-    safe for S up to ~1e7.  Note the kernel is unnormalised: subtract
-    log_F(0, 0, 0, hp) to get the proper marginal likelihood.
-    """
-    return _log_f(S, n, log_fact_sum, hp.a_bar, hp.b_bar)
-
-
-def log_F_hat(S_hat, n_hat, log_fact_sum, hp: Hyperparams):
-    """Same kernel with the noise-rate prior (a_hat, b_hat)."""
-    return _log_f(S_hat, n_hat, log_fact_sum, hp.a_hat, hp.b_hat)
+    return _grid(shape).take(s) - (shape + s) * np.log(rate + n) - log_fact_sum
 
 
 @functools.cache
@@ -154,8 +182,9 @@ def _log_f_empty(shape, rate):
 
 def log_marginal(S, n, log_fact_sum, shape, rate):
     """Normalised collapsed factor: the log marginal likelihood of n pooled
-    Poisson observations summing to S under a Gamma(shape, rate) prior, i.e.
-    the kernel minus its value on an empty factor.  Broadcast."""
+    Poisson observations summing to the integer count S under a
+    Gamma(shape, rate) prior, with log_fact_sum their accumulated log(Y!)
+    terms; i.e. the kernel minus its value on an empty factor.  Broadcast."""
     return _log_f(S, n, log_fact_sum, shape, rate) - _log_f_empty(shape, rate)
 
 
@@ -176,7 +205,7 @@ def log_poisson_vec(x, mu) -> float:
     mu = np.asarray(mu, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         xlog = np.where(x > 0, x * np.log(mu), 0.0)
-    return float(np.sum(xlog - mu - gammaln(x + 1.0)))
+    return float(np.sum(xlog - mu - _UNIT.take(x)))
 
 
 def log_poisson_table(X, mu) -> np.ndarray:
@@ -185,4 +214,4 @@ def log_poisson_table(X, mu) -> np.ndarray:
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         xlog = np.where(X[:, None, :] > 0, X[:, None, :] * np.log(mu[None]), 0.0)
-    return (xlog - mu[None]).sum(axis=2) - gammaln(X + 1.0).sum(axis=1)[:, None]
+    return (xlog - mu[None]).sum(axis=2) - _UNIT.take(X).sum(axis=1)[:, None]

@@ -9,11 +9,11 @@ raw accesses get preloaded.
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError
 from .ingest import BinningConfig, decode_sets, encode_sets
-from .models import Hyperparams, SMVPParams, log_poisson_table, mu_from_params
+from .models import (_UNIT, Hyperparams, SMVPParams, log_poisson_table,
+                     mu_from_params)
 from . import gibbs
 
 MODEL_VERSION = 1
@@ -170,7 +170,7 @@ def decoder_predict_next(state: DecoderState, model: FittedModel) -> int:
     modes = np.floor(model.mu)
     with np.errstate(divide="ignore", invalid="ignore"):
         xlog = np.where(modes > 0, modes * np.log(model.mu), 0.0)
-    mode_scores = (xlog - model.mu - gammaln(modes + 1.0)).sum(axis=1)
+    mode_scores = (xlog - model.mu - _UNIT.take(modes)).sum(axis=1)
     with np.errstate(divide="ignore"):
         if state.t == 0:
             w = np.log(model.pi0) + mode_scores

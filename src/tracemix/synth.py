@@ -48,18 +48,41 @@ class SynthSpec:
             raise ValueError("transition rows must sum to 1")
         if len(self.clusters) != self.K_true:
             raise ValueError("need one parameter set per cluster")
+        # the trace-mode fields may come from a config file
+        for name in ("T", "block_size"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("nu", "noise_rate"):
+            value = getattr(self, name)
+            if not (_is_int(value) or isinstance(value, float)):
+                raise ValueError(f"{name} must be a number")
+        span = self.noise_block_range
+        if span is not None and not (isinstance(span, (list, tuple)) and len(span) == 2
+                                     and all(map(_is_int, span)) and span[0] < span[1]):
+            raise ValueError("noise_block_range must be a [lo, hi) pair of integers "
+                             "with lo < hi")
         if self.motifs is not None:
+            if not (isinstance(self.motifs, list) and all(map(_is_int_list, self.motifs))):
+                raise ValueError("motifs must be a list of lists of integer block ids")
             if any(len(m) == 0 for m in self.motifs):
                 raise ValueError("motifs must be non-empty")
             if self.T < 1:
                 raise ValueError("trace mode needs T >= 1")
-            if self.pattern is not None and (not self.pattern or not all(
-                    isinstance(p, int) and 0 <= p < len(self.motifs)
-                    for p in self.pattern)):
+            if self.pattern is not None and (
+                    not _is_int_list(self.pattern) or not self.pattern
+                    or not all(0 <= p < len(self.motifs) for p in self.pattern)):
                 raise ValueError("pattern must be a non-empty list of indices "
                                  f"into the {len(self.motifs)} motifs")
             if self.noise_rate > 0 and self.noise_block_range is None:
                 raise ValueError("noise_rate > 0 needs a noise_block_range")
+
+
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_int_list(v):
+    return isinstance(v, list) and all(map(_is_int, v))
 
 
 def gen_count_sequence(spec: SynthSpec, rng=None):

@@ -285,6 +285,19 @@ def predict_next_brute_force(pi0, pi, mu, X):
     return best_k
 
 
+def forward_loglik(pi0, pi, mu, X):
+    """Forward-algorithm log-likelihood of X under independent Poisson
+    emissions, with scipy's pmf and logsumexp."""
+    from scipy.special import logsumexp
+    emis = np.array([[stats.poisson.logpmf(x, m).sum() for m in mu] for x in X])
+    with np.errstate(divide="ignore"):
+        log_pi, log_pi0 = np.log(pi), np.log(pi0)
+    fwd = log_pi0 + emis[0]
+    for t in range(1, len(X)):
+        fwd = logsumexp(fwd[:, None] + log_pi, axis=0) + emis[t]
+    return float(logsumexp(fwd))
+
+
 # ---------------------------------------------------------------------------
 # the sampler kernels as first written, one predictive call per candidate
 

@@ -32,10 +32,19 @@ def test_fit_rejects_fewer_than_one_chain(tmp_path, capsys, chains):
     {"pattern": []},
     {"pattern": [1.0]},
     {"noise_block_range": None},
+    {"motifs": [5]},
+    {"T": 2.5},
+    {"nu": "30"},
+    {"block_size": True},
+    {"pattern": 0},
+    {"noise_block_range": [10, 5]},
 ])
 def test_gen_trace_rejects_bad_spec(tmp_path, capsys, spec):
     path, out = tmp_path / "spec.json", tmp_path / "trace.csv"
     path.write_text(json.dumps(spec))
     assert cli.main(["gen-trace", "--spec", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    # the message names the offending field
+    assert any(field in err for field in spec)
     assert not out.exists()

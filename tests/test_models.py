@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from tracemix.models import (Hyperparams, MVPParams, SMVPParams, log_F,
-                             log_F_hat, log_poisson_vec, log_poisson_table,
+from tracemix.models import (Hyperparams, MVPParams, SMVPParams, log_marginal,
+                             log_poisson_vec, log_poisson_table,
                              mu_from_params, sample_mvp, sample_smvp)
 
 import oracles
@@ -96,20 +96,21 @@ def test_sample_smvp_inactive_dim_is_noise():
 
 
 # ---------------------------------------------------------------------------
-# collapsed kernels
+# collapsed kernels: log_marginal is the paper's F, normalised so that an
+# empty factor scores 0; the test names keep the F notation
 
 def test_log_F_empty_cluster():
-    hp = Hyperparams(a_bar=1.0, b_bar=1.0)
-    assert log_F(0, 0, 0.0, hp) == pytest.approx(0.0)
-    hp2 = Hyperparams(a_bar=2.5, b_bar=1.5)
-    assert log_F(0, 0, 0.0, hp2) == pytest.approx(
-        gammaln(2.5) - 2.5 * np.log(1.5))
+    assert log_marginal(0, 0, 0.0, 1.0, 1.0) == pytest.approx(0.0)
+    assert log_marginal(0, 0, 0.0, 2.5, 1.5) == pytest.approx(0.0)
+    # the normaliser is the unnormalised kernel of the empty factor
+    assert log_marginal(1, 1, 0.0, 2.5, 1.5) == pytest.approx(
+        gammaln(3.5) - 3.5 * np.log(2.5) - (gammaln(2.5) - 2.5 * np.log(1.5)))
 
 
 def test_log_F_closed_form():
     # two pooled observations {1, 2}: Gamma(4) / 3^4 / (1! 2!)
     hp = Hyperparams(a_bar=1.0, b_bar=1.0)
-    got = log_F(3, 2, float(gammaln(2) + gammaln(3)), hp)
+    got = log_marginal(3, 2, float(gammaln(2) + gammaln(3)), hp.a_bar, hp.b_bar)
     assert got == pytest.approx(np.log(6.0 / 81.0 / 2.0))
 
 
@@ -117,25 +118,26 @@ def test_log_F_matches_grid_integration():
     hp = Hyperparams(a_bar=1.0, b_bar=1.0)
     ys = [1, 2]
     grid = oracles.grid_poisson_gamma_marginal(ys, 1.0, 1.0)
-    lf = log_F(3, 2, float(gammaln(np.array(ys) + 1.0).sum()), hp)
-    # a_bar = b_bar = 1 makes the kernel normalizer vanish
+    lf = log_marginal(3, 2, float(gammaln(np.array(ys) + 1.0).sum()),
+                      hp.a_bar, hp.b_bar)
     assert np.exp(lf) == pytest.approx(grid, rel=1e-5)
 
 
 def test_log_F_monotone_in_n():
     hp = Hyperparams()
-    vals = [log_F(3, n, 0.0, hp) for n in range(5)]
+    vals = [log_marginal(3, n, 0.0, hp.a_bar, hp.b_bar) for n in range(5)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_log_F_hat_matches_log_F_with_same_prior():
     hp = Hyperparams(a_bar=1.3, b_bar=2.0, a_hat=1.3, b_hat=2.0)
-    assert log_F_hat(4, 3, 1.7, hp) == pytest.approx(log_F(4, 3, 1.7, hp))
+    assert log_marginal(4, 3, 1.7, hp.a_hat, hp.b_hat) == pytest.approx(
+        log_marginal(4, 3, 1.7, hp.a_bar, hp.b_bar))
 
 
 def test_log_F_hat_closed_form():
     hp = Hyperparams(a_hat=1.0, b_hat=1.0)
-    got = log_F_hat(2, 3, float(gammaln(3.0)), hp)
+    got = log_marginal(2, 3, float(gammaln(3.0)), hp.a_hat, hp.b_hat)
     assert got == pytest.approx(np.log(np.exp(gammaln(3.0)) / 4.0 ** 3 / 2.0))
 
 
@@ -143,7 +145,7 @@ def test_log_F_hat_grid():
     hp = Hyperparams(a_hat=1.0, b_hat=1.0)
     ys = [2]
     grid = oracles.grid_poisson_gamma_marginal(ys, 1.0, 1.0)
-    lf = log_F_hat(2, 1, float(gammaln(3.0)), hp)
+    lf = log_marginal(2, 1, float(gammaln(3.0)), hp.a_hat, hp.b_hat)
     assert np.exp(lf) == pytest.approx(grid, rel=1e-5)
 
 
