@@ -1,12 +1,11 @@
 """Trace-replay cache simulation: plain LRU and the preloading variant.
 
-Both simulators replay the columns of an `ingest.Trace` (a list of
-`TraceEvent` is converted once) and account one hit or miss per covered
-block of each read request; writes bypass the read cache entirely.  The
-preloading simulator additionally closes each time slice by feeding the
-aggregated counts to the decoder and inserting the predicted cluster's
-blocks (in ascending id order, uninstrumented) before the next slice's
-requests arrive.
+Both simulators replay the columns of an `ingest.Trace` and account one hit
+or miss per covered block of each read request; writes bypass the read cache
+entirely.  The preloading simulator additionally closes each time slice by
+feeding the aggregated counts to the decoder and inserting the predicted
+cluster's blocks (in ascending id order, uninstrumented) before the next
+slice's requests arrive.
 
 Inserting ascending distinct blocks b_1 < ... < b_n into an LRU cache of
 capacity C leaves exactly the last min(n, C) of them, in that order, whatever
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import BinningConfig, as_trace
+from .ingest import BinningConfig, Trace, check_block_size
 from . import predict
 
 
@@ -115,19 +114,19 @@ class SimReport:
                      f"{sum(self.preload_volumes)},{self.wall_clock:.3f}\n")
 
 
-def capacity_from_trace(events, fraction) -> int:
+def capacity_from_trace(trace: Trace, fraction) -> int:
     """Cache capacity as a fraction of the trace footprint (distinct blocks
     touched), never below one block."""
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
-    ids, _ = as_trace(events).block_ids()
+    ids, _ = trace.block_ids()
     return max(1, math.ceil(fraction * len(np.unique(ids))))
 
 
-def simulate_baseline(events, capacity, record_outcomes=False) -> SimReport:
+def simulate_baseline(trace: Trace, capacity, record_outcomes=False) -> SimReport:
     """Replay the read requests against a plain LRU cache."""
     started = time.monotonic()
-    ids, _ = as_trace(events).reads().block_ids()
+    ids, _ = trace.reads().block_ids()
     outcomes = [] if record_outcomes else None
     hits = LRUCache(capacity).access_all(ids.tolist(), outcomes)
     return SimReport.from_counts(hits, len(ids) - hits,
@@ -135,23 +134,24 @@ def simulate_baseline(events, capacity, record_outcomes=False) -> SimReport:
                                  outcomes=outcomes)
 
 
-def simulate_preloading(events, model, access_map, binning: BinningConfig,
+def simulate_preloading(trace: Trace, model, access_map, binning: BinningConfig,
                         capacity, record_outcomes=False,
                         preload_log=None) -> SimReport:
     """Replay with predictive preloading at every slice boundary.
 
     The just-completed slice is aggregated with the same binning the model was
-    trained under, fed to the decoder, and the predicted cluster's blocks are
-    inserted in ascending id order.  Preload insertions are not counted as
-    hits or misses.  An initial preload fires before any slice completes, and
-    every request, writes included, closes the slices before its own.  When
-    preload_log is a list, each predicted array is appended to it.
+    trained under, whose block size the trace must share, fed to the decoder,
+    and the predicted cluster's blocks are inserted in ascending id order.
+    Preload insertions are not counted as hits or misses.  An initial preload
+    fires before any slice completes, and every request, writes included,
+    closes the slices before its own.  When preload_log is a list, each
+    predicted array is appended to it.
     """
     if model.M != binning.M:
         raise ConfigError(
             f"model was fitted with {model.M} bins but binning has {binning.M}")
+    check_block_size(trace, binning)
     started = time.monotonic()
-    trace = as_trace(events, binning.block_size)
     reads = trace.reads()
     n_slices = trace.slice_count(binning.nu)
     X = binning.slice_counts(reads, n_slices)

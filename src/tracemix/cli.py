@@ -22,7 +22,8 @@ EXIT_RUNTIME = 4
 DEFAULTS = {
     "bins": 10,
     "slice_secs": 30.0,
-    "block_size": ingest.DEFAULT_BLOCK_SIZE,
+    # None: aggregate uses ingest.DEFAULT_BLOCK_SIZE, simulate the model's
+    "block_size": None,
     "split": 0.5,
     "cache_frac": 0.05,
     "kind": gibbs.SPARSE_HMM_DP_MMVP,
@@ -64,14 +65,15 @@ def _fit_config(cfg, seed):
 
 def cmd_aggregate(args):
     cfg = _merge_config(args)
-    events = ingest.parse_trace(args.trace, format_id=cfg["format"],
-                                block_size=cfg["block_size"])
-    binning = ingest.binning_from_events(events, M=cfg["bins"],
+    block_size = cfg["block_size"]
+    trace = ingest.parse_trace(args.trace, format_id=cfg["format"],
+                               block_size=ingest.DEFAULT_BLOCK_SIZE
+                               if block_size is None else block_size)
+    binning = ingest.binning_from_events(trace, M=cfg["bins"],
                                          nu=cfg["slice_secs"],
-                                         block_size=cfg["block_size"],
                                          fraction=cfg["split"],
                                          count_per_block=cfg["per_block"])
-    seq = ingest.aggregate(events, binning)
+    seq = ingest.aggregate(trace, binning)
     ingest.save_artifact(seq, args.out)
     nonzero = float((seq.X > 0).mean()) if len(seq) else 0.0
     print(f"aggregated T={len(seq)} slices x M={binning.M} bins "
@@ -126,9 +128,12 @@ def cmd_eval(args):
 
 def cmd_simulate(args):
     cfg = _merge_config(args)
-    trace = ingest.parse_trace(args.trace, format_id=cfg["format"],
-                               block_size=cfg["block_size"])
     model, access_map, binning = predict.load_model(args.model)
+    if cfg["block_size"] not in (None, binning.block_size):
+        raise ConfigError(f"block size {cfg['block_size']} disagrees with the "
+                          f"model's block size {binning.block_size}")
+    trace = ingest.parse_trace(args.trace, format_id=cfg["format"],
+                               block_size=binning.block_size)
     # operating phase = slices past the learning cut, in wall-clock terms;
     # like fit, the cut counts the slices up to the last read
     read_slices = trace.reads().slice_count(binning.nu)
@@ -163,9 +168,9 @@ def cmd_gen_trace(args):
     spec = synth.spec_from_json(args.spec) if args.spec else synth.default_trace_spec()
     if args.seed is not None:
         spec.seed = args.seed
-    events = synth.gen_block_trace(spec)
-    synth.write_trace_csv(events, args.out)
-    print(f"wrote {len(events)} events over {spec.T} slices -> {args.out}")
+    trace = synth.gen_block_trace(spec)
+    synth.write_trace_csv(trace, args.out)
+    print(f"wrote {len(trace)} events over {spec.T} slices -> {args.out}")
     return EXIT_OK
 
 

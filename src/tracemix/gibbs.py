@@ -26,10 +26,11 @@ Poisson-Gamma predictive gain.
 import itertools
 import math
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import _UNIT, Hyperparams, _grid, log_marginal, log_poisson_table
 
 DP_MIP = "dp-mip"
@@ -41,8 +42,6 @@ SPARSE_HMM_DP_MMVP = "sparse-hmm-dp-mmvp"
 
 ALL_KINDS = (DP_MIP, DP_MMVP, HMM_DP_MIP, HMM_DP_MMVP,
              SPARSE_DP_MMVP, SPARSE_HMM_DP_MMVP)
-
-CHECKPOINT_VERSION = 1
 
 # dimensions whose empirical mean exceeds this start out active
 _B_INIT_MEAN = 0.25
@@ -958,6 +957,9 @@ def heldout_loglik(model, data):
     weights in their transition rows, so the same pass covers them.
     """
     X = np.asarray(data.X if hasattr(data, "X") else data, dtype=np.int64)
+    if X.shape[1] != model.M:
+        raise ConfigError(
+            f"model was fitted with {model.M} bins but the data has {X.shape[1]}")
     if X.shape[0] == 0:
         return 0.0
     emis = log_poisson_table(X, model.mu)
@@ -977,43 +979,3 @@ def _log_sum_exp(a):
     top = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
         return np.log(np.exp(a - top).sum(axis=0)) + top
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-def save_checkpoint(state, path):
-    """Serialize a sampler state; field order is fixed by key name."""
-    np.savez(
-        path,
-        version=np.int64(CHECKPOINT_VERSION),
-        kind=np.array(state.kind),
-        X=state.X, Z=state.Z, Y=state.Y,
-        K=np.int64(state.K),
-        n_k=state.n_k, S=state.S, LF=state.LF, b=state.b,
-        beta=state.beta, n_trans=state.n_trans, m=state.m,
-        S_hat=state.S_hat, n_hat=state.n_hat, LF_hat=state.LF_hat,
-        hp=np.array(astuple(state.hp)),
-    )
-
-
-def load_checkpoint(path) -> GibbsState:
-    with np.load(path) as z:
-        if int(z["version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {int(z['version'])}")
-        hp = Hyperparams(*(float(v) for v in z["hp"]))
-        state = GibbsState(str(z["kind"]), hp, z["X"])
-        state.Z = z["Z"].copy()
-        state.Y = z["Y"].copy()
-        state.K = int(z["K"])
-        state.n_k = z["n_k"].copy()
-        state.S = z["S"].copy()
-        state.LF = z["LF"].copy()
-        state.b = z["b"].copy()
-        state.beta = z["beta"].copy()
-        state.n_trans = z["n_trans"].copy()
-        state.S_hat = z["S_hat"].copy()
-        state.n_hat = z["n_hat"].copy()
-        state.LF_hat = z["LF_hat"].copy()
-        state.m = z["m"].copy()
-        return state

@@ -1,20 +1,20 @@
 """Block I/O trace parsing and aggregation into per-slice count vectors.
 
 A trace is a timestamped list of read/write requests against a byte address
-space.  `parse_trace` reads it into a columnar `Trace`: one array per field
-(timestamp, is_read, offset, size) plus the cache block size, in time order.
-For modeling we chop time into fixed-length slices and the address range
-into M equal bins, turning the trace into a sequence of M-dimensional count
+space, held as a columnar `Trace`: one array per field (timestamp, is_read,
+offset, size) plus the cache block size, in time order.  `parse_trace` reads
+one from a CSV file and `synth.gen_block_trace` generates one.  For modeling
+we chop time into fixed-length slices and the address range into M equal
+bins, turning the trace's reads into a sequence of M-dimensional count
 vectors plus, per slice, the distinct block ids touched as a sorted int64
-array (used later to preload the cache).  Every consumer works on the
-columns; a list of `TraceEvent` records is converted once with
-`Trace.from_events`.
+array (used later to preload the cache).
 """
 
 import csv
 import io
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,7 +34,7 @@ _I8_MAX = np.iinfo(np.int64).max
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One I/O request. block_ids lists every fixed-size block covered by
+    """One row of a Trace.  block_ids lists every fixed-size block covered by
     [offset, offset + size)."""
 
     timestamp: float
@@ -42,16 +42,6 @@ class TraceEvent:
     offset: int
     size: int
     block_ids: tuple
-
-    def __post_init__(self):
-        if self.size <= 0:
-            raise TraceParseError(f"event size must be positive, got {self.size}")
-        if self.timestamp < 0:
-            raise TraceParseError("event timestamp must be non-negative")
-        if self.op not in ("read", "write"):
-            raise TraceParseError(f"unknown op {self.op!r}")
-        if len(self.block_ids) == 0:
-            raise TraceParseError("event covers no blocks")
 
 
 def blocks_covered(offset, size, block_size=DEFAULT_BLOCK_SIZE) -> tuple:
@@ -63,11 +53,11 @@ def blocks_covered(offset, size, block_size=DEFAULT_BLOCK_SIZE) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Requests as columns, in time order: timestamp (float64 seconds since
-    the first request), is_read (bool), offset and size (int64 bytes, size
-    positive), and the cache block size that maps a request to the blocks it
-    covers.  Rows read back as `TraceEvent` through len(), indexing and
-    iteration."""
+    """Requests as columns, in time order: timestamp (float64 seconds;
+    `parse_trace` counts them from the first request), is_read (bool),
+    offset and size (int64 bytes, size positive), and the cache block size
+    that maps a request to the blocks it covers.  Iteration yields the rows
+    as `TraceEvent` records."""
 
     timestamp: np.ndarray
     is_read: np.ndarray
@@ -82,42 +72,12 @@ class Trace:
     def __len__(self):
         return len(self.timestamp)
 
-    def __getitem__(self, i) -> TraceEvent:
-        offset, size = int(self.offset[i]), int(self.size[i])
-        return TraceEvent(float(self.timestamp[i]),
-                          "read" if self.is_read[i] else "write", offset, size,
-                          blocks_covered(offset, size, self.block_size))
-
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @classmethod
-    def from_events(cls, events, block_size=None):
-        """Columns of a list of events, stably sorted by time.  Each event's
-        block ids must be the blocks its byte range covers at block_size.
-        With block_size None, any block size under which they are will do
-        (DEFAULT_BLOCK_SIZE when it is one): all such sizes give the events
-        the same block ids."""
-        events = list(events)
-        n = len(events)
-        columns = (np.fromiter((e.timestamp for e in events), np.float64, n),
-                   np.fromiter((e.op == "read" for e in events), bool, n),
-                   np.fromiter((e.offset for e in events), np.int64, n),
-                   np.fromiter((e.size for e in events), np.int64, n))
-        first = np.fromiter((e.block_ids[0] for e in events), np.int64, n)
-        count = np.fromiter((len(e.block_ids) for e in events), np.int64, n)
-        if block_size is None:
-            candidates = (DEFAULT_BLOCK_SIZE,
-                          _least_block_size(columns[2], columns[3], first, count))
-        else:
-            candidates = (block_size,)
-        for size in candidates:
-            trace = cls(*columns, size)
-            if (np.array_equal(first, trace.first_block())
-                    and np.array_equal(count, trace.blocks_per_row())):
-                return trace.select(np.argsort(trace.timestamp, kind="stable"))
-        raise ValueError("event block ids disagree with " + (
-            "every block size" if block_size is None else f"block size {block_size}"))
+        for ts, is_read, offset, size in zip(
+                self.timestamp.tolist(), self.is_read.tolist(),
+                self.offset.tolist(), self.size.tolist()):
+            yield TraceEvent(ts, "read" if is_read else "write", offset, size,
+                             blocks_covered(offset, size, self.block_size))
 
     def select(self, rows) -> "Trace":
         """The rows picked by a boolean mask or an index array."""
@@ -141,19 +101,14 @@ class Trace:
         """Slices of nu seconds up to the one holding the last row."""
         return int(self.timestamp[-1] // nu) + 1 if len(self) else 0
 
-    def first_block(self) -> np.ndarray:
-        return self.offset // self.block_size
-
-    def blocks_per_row(self) -> np.ndarray:
-        return (self.offset + (self.size - 1)) // self.block_size - self.first_block() + 1
-
     def block_ids(self):
         """(ids, counts): the block ids every row covers, row after row, and
         how many belong to each row."""
-        counts = self.blocks_per_row()
+        first = self.offset // self.block_size
+        counts = (self.offset + (self.size - 1)) // self.block_size - first + 1
         starts = np.cumsum(counts) - counts
         ids = np.arange(int(counts.sum()), dtype=np.int64)
-        ids += np.repeat(self.first_block() - starts, counts)
+        ids += np.repeat(first - starts, counts)
         return ids, counts
 
     def blocks_by_slice(self, nu, T):
@@ -163,25 +118,6 @@ class Trace:
         ids, counts = self.block_ids()
         bounds = np.searchsorted(np.repeat(self.slots(nu), counts), np.arange(T + 1))
         return ids, bounds.tolist()
-
-
-def _least_block_size(offset, size, first, count) -> int:
-    """The least block size b with offset // b == first and
-    (offset + size - 1) // b == first + count - 1 on every row, when some
-    block size fits every row."""
-    least = 1
-    for pos, block in ((offset, first), (offset + (size - 1), first + (count - 1))):
-        # pos // b == block  <=>  pos // (block + 1) < b <= pos // block
-        least = max(least, int((pos // np.maximum(block + 1, 1)).max(initial=0)) + 1)
-    return least
-
-
-def as_trace(events, block_size=None) -> Trace:
-    """events as a Trace: a Trace is returned as it is, a sequence of
-    TraceEvent is converted by Trace.from_events with block_size."""
-    if isinstance(events, Trace):
-        return events
-    return Trace.from_events(events, block_size)
 
 
 @dataclass(frozen=True)
@@ -413,49 +349,56 @@ def _parse_rows(text, cols):
 # ---------------------------------------------------------------------------
 # Aggregation
 
-def infer_lba_range(events, nu=None, fraction=None, include_writes=False):
-    """(lo, hi) covering the offsets seen in the learning portion of a trace.
+def infer_lba_range(trace: Trace, nu=None, fraction=None):
+    """(lo, hi) covering the read offsets in the learning part of a trace.
 
-    With nu and fraction given, only events in the first ceil(fraction * T)
-    slices are considered; later offsets outside the range clamp to edge bins.
+    With nu and fraction given, only reads in the first learn_cut(T,
+    fraction) of the T read slices count, the slices a fit learns from;
+    later offsets outside the range clamp to edge bins.
     """
-    pool = as_trace(events)
-    if not include_writes:
-        pool = pool.reads()
+    pool = trace.reads()
     if not len(pool):
-        raise TraceParseError("no events to infer an address range from")
+        raise TraceParseError("no reads to infer an address range from")
     offsets = pool.offset
     if nu is not None and fraction is not None:
-        cutoff = math.ceil(fraction * pool.slice_count(nu)) * nu
+        cutoff = learn_cut(pool.slice_count(nu), fraction) * nu
         learn = pool.timestamp < cutoff
         if learn.any():
             offsets = offsets[learn]
     return int(offsets.min()), int(offsets.max()) + 1
 
 
-def binning_from_events(events, M, nu, block_size=DEFAULT_BLOCK_SIZE,
-                        fraction=None, count_per_block=False) -> BinningConfig:
-    """Build a BinningConfig with the address range taken from the learning
-    portion (or the whole trace when fraction is None)."""
-    lo, hi = infer_lba_range(events, nu=nu, fraction=fraction)
+def binning_from_events(trace: Trace, M, nu, fraction=None,
+                        count_per_block=False) -> BinningConfig:
+    """Build a BinningConfig at the trace's block size, with the address
+    range taken from the learning part (or the whole trace when fraction is
+    None)."""
+    lo, hi = infer_lba_range(trace, nu=nu, fraction=fraction)
     return BinningConfig(M=M, lba_lo=lo, lba_hi=hi, nu=nu,
-                         block_size=block_size, count_per_block=count_per_block)
+                         block_size=trace.block_size, count_per_block=count_per_block)
 
 
-def aggregate(events, config: BinningConfig, include_writes=False) -> CountVectorSequence:
-    """Histogram events into per-slice count vectors and block-access sets.
+def check_block_size(trace: Trace, config: BinningConfig):
+    """Raise ValueError unless trace and config share one block size."""
+    if trace.block_size != config.block_size:
+        raise ValueError(f"trace has block size {trace.block_size} but the "
+                         f"binning has {config.block_size}")
+
+
+def aggregate(trace: Trace, config: BinningConfig) -> CountVectorSequence:
+    """Histogram the reads of a trace into per-slice count vectors and
+    block-access sets; writes are left out.
 
     Requests are binned once each by their starting offset (or once per
     covered block with count_per_block); the access sets record every block
-    covered.  Writes are excluded unless include_writes is set.
+    covered.
     """
-    kept = as_trace(events, config.block_size)
-    if not include_writes:
-        kept = kept.reads()
-    T = kept.slice_count(config.nu)
-    ids, bounds = kept.blocks_by_slice(config.nu, T)
+    check_block_size(trace, config)
+    reads = trace.reads()
+    T = reads.slice_count(config.nu)
+    ids, bounds = reads.blocks_by_slice(config.nu, T)
     A = [np.unique(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return CountVectorSequence(config.slice_counts(kept, T), A, config)
+    return CountVectorSequence(config.slice_counts(reads, T), A, config)
 
 
 def learn_cut(T, fraction) -> int:
@@ -517,6 +460,17 @@ def decode_sets(z, prefix):
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])], binning
 
 
+@contextmanager
+def load_npz(path):
+    """np.load(path) as a context in which a missing field raises
+    ValueError naming it."""
+    with np.load(path) as z:
+        try:
+            yield z
+        except KeyError as exc:
+            raise ValueError(f"malformed file {path}: {exc.args[0]}") from None
+
+
 def save_artifact(seq: CountVectorSequence, path):
     """Write a count-vector sequence to a .npz artifact."""
     np.savez(path, version=np.int64(ARTIFACT_VERSION), X=seq.X,
@@ -524,7 +478,7 @@ def save_artifact(seq: CountVectorSequence, path):
 
 
 def load_artifact(path) -> CountVectorSequence:
-    with np.load(path) as z:
+    with load_npz(path) as z:
         if int(z["version"]) != ARTIFACT_VERSION:
             raise ValueError(f"unsupported artifact version {int(z['version'])}")
         A, cfg = decode_sets(z, "A")

@@ -11,7 +11,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import BinningConfig, decode_sets, encode_sets
+from .ingest import BinningConfig, decode_sets, encode_sets, load_npz
 from .models import (_UNIT, Hyperparams, SMVPParams, log_poisson_table,
                      mu_from_params)
 from . import gibbs
@@ -220,7 +220,7 @@ def save_model(model: FittedModel, access_map: AccessMap, binning: BinningConfig
 
 def load_model(path):
     """Read back (FittedModel, AccessMap, BinningConfig)."""
-    with np.load(path) as z:
+    with load_npz(path) as z:
         if int(z["version"]) != MODEL_VERSION:
             raise ConfigError(f"unsupported model version {int(z['version'])}")
         hp = Hyperparams(*(float(v) for v in z["hp"]))

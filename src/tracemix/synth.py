@@ -1,5 +1,6 @@
 """Ground-truth generators: count sequences from a known cluster chain, and
-block traces with planted long-range repeating access motifs.
+block traces (as `ingest.Trace` columns) with planted long-range repeating
+access motifs.
 
 Both exist so that recovery, ordering and hitrate claims can be checked
 against a known answer; statistical realism of enterprise workloads is a
@@ -11,8 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ingest import (DEFAULT_BLOCK_SIZE, BinningConfig, CountVectorSequence,
-                     TraceEvent, blocks_covered)
+from .ingest import DEFAULT_BLOCK_SIZE, BinningConfig, CountVectorSequence, Trace
 from .models import SMVPParams, sample_smvp
 
 
@@ -105,41 +105,36 @@ def gen_count_sequence(spec: SynthSpec, rng=None):
     return seq, Z
 
 
-def gen_block_trace(spec: SynthSpec, rng=None):
-    """Emit read events: per slice, the scheduled motif's blocks once each at
-    evenly spaced times, plus Poisson-many background reads at random blocks.
-    With zero noise the trace is a pure deterministic repetition."""
+def gen_block_trace(spec: SynthSpec, rng=None) -> Trace:
+    """Read requests, one block each: per slice t, the scheduled motif's
+    blocks once each at evenly spaced times in [t * nu, (t + 1) * nu), plus
+    Poisson-many background reads at random blocks.  With zero noise the
+    trace is a pure deterministic repetition."""
     if spec.motifs is None or spec.pattern is None:
         raise ValueError("trace mode needs motifs and a schedule pattern")
     rng = np.random.default_rng(spec.seed) if rng is None else rng
-    events = []
+    times, blocks = [], []
     for t in range(spec.T):
         motif = spec.motifs[spec.pattern[t % len(spec.pattern)]]
         n_noise = int(rng.poisson(spec.noise_rate)) if spec.noise_rate > 0 else 0
         if n_noise > 0:
-            lo, hi = spec.noise_block_range
-            noise_blocks = rng.integers(lo, hi, size=n_noise)
+            noise = rng.integers(*spec.noise_block_range, size=n_noise)
         else:
-            noise_blocks = []
+            noise = np.zeros(0, dtype=np.int64)
         slots = len(motif) + n_noise
         step = spec.nu / (slots + 1)
-        when = t * spec.nu
-        for i, block in enumerate(list(motif) + list(noise_blocks)):
-            block = int(block)
-            events.append(TraceEvent(
-                timestamp=when + (i + 1) * step,
-                op="read",
-                offset=block * spec.block_size,
-                size=spec.block_size,
-                block_ids=blocks_covered(block * spec.block_size,
-                                         spec.block_size, spec.block_size)))
-    return events
+        times.append(t * spec.nu + np.arange(1, slots + 1) * step)
+        blocks += [np.asarray(motif, dtype=np.int64), noise]
+    offset = np.concatenate(blocks) * spec.block_size
+    n = len(offset)
+    return Trace(np.concatenate(times), np.ones(n, dtype=bool), offset,
+                 np.full(n, spec.block_size, dtype=np.int64), spec.block_size)
 
 
-def write_trace_csv(events, path):
-    """Dump events in the plain CSV format the parser consumes."""
+def write_trace_csv(trace: Trace, path):
+    """Dump a trace in the plain CSV format the parser consumes."""
     with open(path, "w") as fh:
-        for e in events:
+        for e in trace:
             fh.write(f"{e.timestamp:.6f},{e.op},{e.offset},{e.size}\n")
 
 

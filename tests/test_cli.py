@@ -3,6 +3,7 @@ traces, checked against the reference parser and LRU in oracles.py."""
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from tracemix import cli, gibbs, ingest, synth
 
 import oracles
+from traces import trace_of
 
 TICKS = 10_000_000  # FILETIME ticks per second
 ORIGIN = 128_166_372_000_000_000
@@ -64,14 +66,13 @@ def sim_rows(prefix):
     return out
 
 
-def operating_events(events, fraction=0.5):
-    """The replayed part, recounted and rebased: the cut counts the slices up
-    to the last read."""
+def operating_trace(events, fraction=0.5):
+    """The replayed part of parsed events as a Trace, recounted and rebased:
+    the cut counts the slices up to the last read."""
     last_read = max(e.timestamp for e in events if e.op == "read")
     boundary = ingest.learn_cut(int(last_read // NU) + 1, fraction) * NU
-    return [ingest.TraceEvent(e.timestamp - boundary, e.op, e.offset, e.size,
-                              e.block_ids)
-            for e in events if e.timestamp >= boundary]
+    return trace_of([(e.timestamp - boundary, e.op, e.offset, e.size)
+                     for e in events if e.timestamp >= boundary])
 
 
 def test_round_trip_matches_reference(tmp_path):
@@ -91,7 +92,7 @@ def test_round_trip_matches_reference(tmp_path):
     capacity = int(rows["comparison"]["capacity"])
     footprint = {b for e in events for b in e.block_ids}
     assert capacity == max(1, math.ceil(0.2 * len(footprint)))
-    operate = operating_events(events)
+    operate = list(operating_trace(events))
     blocks = sum(len(e.block_ids) for e in operate if e.op == "read")
     for side in ("baseline", "preloading"):
         assert int(rows[side]["hits"]) + int(rows[side]["misses"]) == blocks
@@ -187,3 +188,34 @@ def test_gen_trace_spec_file(tmp_path):
     assert cli.main(["gen-trace", "--spec", str(spec), "--out", str(out)]) == cli.EXIT_OK
     trace = ingest.parse_trace(out, format_id="plain")
     assert (trace.offset // 4096).tolist() == [3, 1, 2] * 3
+
+
+def test_simulate_replays_at_the_model_block_size(tmp_path, capsys):
+    # a trace of 512-byte requests aggregated at 512-byte blocks: simulate
+    # must replay it at 512 too, with or without the flag, and refuse 4096
+    trace = tmp_path / "trace.csv"
+    synth.write_trace_csv(synth.gen_block_trace(
+        replace(synth.default_trace_spec(seed=1), T=120, block_size=512)), trace)
+    artifact, model = tmp_path / "counts.npz", tmp_path / "model.npz"
+    plain = ["--format", "plain", "--split", "0.5"]
+    assert cli.main(["aggregate", "--trace", str(trace), "--out", str(artifact),
+                     "--block-size", "512", *plain]) == cli.EXIT_OK
+    assert cli.main(["fit", "--artifact", str(artifact), "--out", str(model),
+                     "--kind", "hmm-dp-mip", "--iters", "4", "--burn-in", "2",
+                     *plain]) == cli.EXIT_OK
+    simulate = ["simulate", "--trace", str(trace), "--model", str(model), *plain]
+    rows = []
+    for flag in ([], ["--block-size", "512"]):
+        prefix = tmp_path / f"sim{len(flag)}"
+        assert cli.main([*simulate, *flag, "--out-prefix", str(prefix)]) == cli.EXIT_OK
+        rows.append({side: {k: v for k, v in row.items() if k != "wall_clock"}
+                     for side, row in sim_rows(prefix).items()})
+    assert rows[0] == rows[1]
+    events = oracles.reference_parse_trace(trace, format_id="plain", block_size=512)
+    footprint = {b for e in events for b in e.block_ids}
+    assert int(rows[0]["comparison"]["capacity"]) == math.ceil(0.05 * len(footprint))
+    assert float(rows[0]["preloading"]["hitrate"]) > 0.5
+    capsys.readouterr()
+    assert cli.main([*simulate, "--block-size", "4096"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "4096" in err and "512" in err

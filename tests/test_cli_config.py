@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from tracemix import cli, ingest
+from tracemix import cli, gibbs, ingest, predict
 from tracemix.ingest import BinningConfig, CountVectorSequence
+from tracemix.models import Hyperparams
 
 
 @pytest.mark.parametrize("chains", ["0", "-1"])
@@ -47,4 +48,75 @@ def test_gen_trace_rejects_bad_spec(tmp_path, capsys, spec):
     assert "config error" in err
     # the message names the offending field
     assert any(field in err for field in spec)
+    assert not out.exists()
+
+
+def save_counts(path, M=2):
+    X = np.arange(8 * M).reshape(8, M) % 3
+    A = [np.array([t], dtype=np.int64) for t in range(8)]
+    ingest.save_artifact(CountVectorSequence(
+        X, A, BinningConfig(M=M, lba_lo=0, lba_hi=8192, nu=30.0)), path)
+
+
+def save_one_cluster_model(path, M):
+    model = predict.FittedModel(
+        K=1, pi=[[1.0]], pi0=[1.0], mu=np.ones((1, M)),
+        Lambda=np.zeros((1, M, M)), lambda_hat=np.zeros(M),
+        b=np.ones((1, M), dtype=np.int8), hp=Hyperparams(), kind=gibbs.HMM_DP_MIP)
+    predict.save_model(model, predict.AccessMap({0: np.arange(3, dtype=np.int64)}),
+                       BinningConfig(M=M, lba_lo=0, lba_hi=8192, nu=30.0), path)
+
+
+def drop_field(path, name):
+    with np.load(path) as z:
+        kept = {key: z[key] for key in z.files if key != name}
+    np.savez(path, **kept)
+
+
+def test_fit_rejects_an_artifact_without_a_field(tmp_path, capsys):
+    artifact, out = tmp_path / "counts.npz", tmp_path / "m.npz"
+    save_counts(artifact)
+    drop_field(artifact, "A_flat")
+    code = cli.main(["fit", "--artifact", str(artifact), "--out", str(out),
+                     "--iters", "2", "--burn-in", "1"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "A_flat" in err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_model_without_a_field(tmp_path, capsys):
+    model, trace = tmp_path / "m.npz", tmp_path / "trace.csv"
+    save_one_cluster_model(model, M=2)
+    drop_field(model, "pi0")
+    trace.write_text("".join(f"{t}.0,read,{t * 4096},4096\n" for t in range(0, 120, 7)))
+    code = cli.main(["simulate", "--format", "plain", "--trace", str(trace),
+                     "--model", str(model), "--out-prefix", str(tmp_path / "sim")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "pi0" in err
+    assert not (tmp_path / "sim_baseline.csv").exists()
+
+
+def test_eval_rejects_a_model_of_another_bin_count(tmp_path, capsys):
+    artifact, model, out = tmp_path / "counts.npz", tmp_path / "m.npz", tmp_path / "eval.csv"
+    save_counts(artifact, M=4)
+    save_one_cluster_model(model, M=3)
+    code = cli.main(["eval", "--artifact", str(artifact), "--models", str(model),
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: model was fitted with 3 bins but the data has 4" in err
+    assert not out.exists()
+
+
+def test_aggregate_needs_two_read_slices(tmp_path, capsys):
+    # every read sits in slice 0, so no learning cut leaves both parts
+    # non-empty; later writes do not count as slices
+    trace, out = tmp_path / "trace.csv", tmp_path / "counts.npz"
+    trace.write_text("0.0,read,0,4096\n5.0,read,8192,4096\n95.0,write,0,4096\n")
+    code = cli.main(["aggregate", "--format", "plain", "--trace", str(trace),
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "at least 2 slices" in capsys.readouterr().err
     assert not out.exists()

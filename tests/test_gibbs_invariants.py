@@ -137,25 +137,6 @@ def test_run_gibbs_wall_clock_flag():
     assert len(samples) >= 1
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    data = fuzz_data(T=10, seed=8)
-    hp = Hyperparams(a_hat=1.5)
-    samples, _ = gibbs.run_gibbs(
-        data, gibbs.SPARSE_HMM_DP_MMVP, hp,
-        gibbs.FitConfig(iterations=4, burn_in=2, seed=5))
-    state = samples[-1]
-    path = tmp_path / "state.npz"
-    gibbs.save_checkpoint(state, path)
-    back = gibbs.load_checkpoint(path)
-    assert back.kind == state.kind
-    assert back.hp == state.hp
-    for name in ("X", "Z", "Y", "n_k", "S", "LF", "b", "beta", "n_trans",
-                 "S_hat", "n_hat", "LF_hat"):
-        assert np.array_equal(getattr(back, name), getattr(state, name)), name
-    assert gibbs.joint_log_density(back) == pytest.approx(
-        gibbs.joint_log_density(state))
-
-
 def test_init_state_zero_data():
     from tracemix.ingest import BinningConfig, CountVectorSequence
     cfg = BinningConfig(M=2, lba_lo=0, lba_hi=100, nu=1.0)

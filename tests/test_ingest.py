@@ -1,28 +1,23 @@
 import io
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tracemix import ingest
+from tracemix import ingest, synth
 from tracemix.errors import TraceParseError
-from tracemix.ingest import (BinningConfig, CountVectorSequence, Trace,
-                             TraceEvent, aggregate, binning_from_events,
-                             blocks_covered, infer_lba_range, learn_cut,
-                             load_artifact, parse_trace, save_artifact,
-                             split_learn_operate)
+from tracemix.ingest import (BinningConfig, CountVectorSequence, TraceEvent,
+                             aggregate, binning_from_events, blocks_covered,
+                             infer_lba_range, learn_cut, load_artifact,
+                             parse_trace, save_artifact, split_learn_operate)
 
 import oracles
+from traces import trace_of
 
 
 def plain(rows):
     return io.StringIO("\n".join(rows) + "\n")
-
-
-def make_events(specs, block_size=4096):
-    # specs: (timestamp, op, offset, size)
-    return [TraceEvent(ts, op, off, sz, blocks_covered(off, sz, block_size))
-            for ts, op, off, sz in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +53,8 @@ def test_parse_unknown_op_rejected():
 
 
 def test_parse_sorts_and_rebases_timestamps():
-    events = parse_trace(plain(["5.0,read,4096,4096", "3.0,write,0,4096"]),
-                         format_id="plain")
+    events = list(parse_trace(plain(["5.0,read,4096,4096", "3.0,write,0,4096"]),
+                              format_id="plain"))
     assert events[0].timestamp == 0.0 and events[0].op == "write"
     assert events[1].timestamp == 2.0
 
@@ -68,7 +63,7 @@ def test_parse_msr_format():
     # filetime ticks (100ns); 1e7 ticks = 1 second
     rows = ["128166372003061629,srv0,0,Read,8192,4096,100",
             "128166372013061629,srv0,0,Write,0,8192,200"]
-    events = parse_trace(plain(rows), format_id="msr")
+    events = list(parse_trace(plain(rows), format_id="msr"))
     assert events[0].timestamp == pytest.approx(0.0)
     assert events[1].timestamp == pytest.approx(1.0)
     assert events[0].op == "read" and events[1].op == "write"
@@ -225,33 +220,39 @@ def test_parse_rejects_rows_the_columns_cannot_hold(row, message):
 
 
 def test_trace_rows_read_back_as_events():
-    events = make_events([(0.0, "read", 0, 4096), (1.5, "write", 4095, 2),
-                          (2.0, "read", 8192, 3 * 4096)])
-    trace = Trace.from_events(events)
+    rows = [(0.0, "read", 0, 4096), (1.5, "write", 4095, 2),
+            (2.0, "read", 8192, 3 * 4096)]
+    trace = trace_of(rows)
+    events = [TraceEvent(ts, op, off, sz, blocks_covered(off, sz))
+              for ts, op, off, sz in rows]
     assert len(trace) == 3
-    assert trace[1] == events[1] and trace[-1] == events[-1]
+    assert list(trace)[1] == events[1] and list(trace)[-1] == events[-1]
     assert list(trace) == events
     ids, counts = trace.block_ids()
     assert ids.tolist() == [0, 0, 1, 2, 3, 4] and counts.tolist() == [1, 2, 3]
 
 
-def test_trace_from_events_sorts_stably():
-    events = make_events([(2.0, "read", 0, 1), (1.0, "read", 4096, 1),
-                          (1.0, "write", 8192, 1)])
-    trace = Trace.from_events(events)
-    assert list(trace) == [events[1], events[2], events[0]]
-
-
-def test_trace_from_events_checks_block_size():
-    events = make_events([(0.0, "read", 0, 1024)], block_size=512)
-    with pytest.raises(ValueError, match="block size"):
-        Trace.from_events(events, block_size=4096)
-    assert list(Trace.from_events(events, block_size=512)) == events
-    assert Trace.from_events(events).block_size == 512
-    assert Trace.from_events(make_events([(0.0, "read", 0, 1024)])).block_size == 4096
-    misnumbered = [TraceEvent(0.0, "read", 0, 4096, (5,))]
-    with pytest.raises(ValueError, match="every block size"):
-        Trace.from_events(misnumbered)
+def test_generated_trace_rows_match_columns_and_round_trip(tmp_path):
+    spec = replace(synth.default_trace_spec(seed=2), T=30, block_size=512)
+    trace = synth.gen_block_trace(spec)
+    assert trace.block_size == 512 and len(trace) > 30 * 40
+    assert (np.diff(trace.timestamp) >= 0).all()
+    rows = list(trace)
+    assert len(rows) == len(trace)
+    for e, ts, is_read, off, sz in zip(rows, trace.timestamp.tolist(),
+                                       trace.is_read.tolist(),
+                                       trace.offset.tolist(), trace.size.tolist()):
+        assert (e.timestamp, e.op == "read", e.offset, e.size) == (ts, is_read, off, sz)
+        assert e.block_ids == blocks_covered(off, sz, 512) == (off // 512,)
+    path = tmp_path / "trace.csv"
+    synth.write_trace_csv(trace, path)
+    back = parse_trace(path, format_id="plain", block_size=512)
+    written = np.array([float(f"{t:.6f}") for t in trace.timestamp.tolist()])
+    assert np.array_equal(back.timestamp, written - written[0])
+    assert np.array_equal(back.is_read, trace.is_read)
+    assert np.array_equal(back.offset, trace.offset)
+    assert np.array_equal(back.size, trace.size)
+    assert back.block_size == trace.block_size
 
 
 @pytest.mark.parametrize("M, lo, hi", [(10, 0, 10_000_000), (7, 10, 100),
@@ -271,13 +272,6 @@ def test_blocks_covered_spans():
     assert blocks_covered(8192, 8192) == (2, 3)
 
 
-def test_event_invariants():
-    with pytest.raises(TraceParseError):
-        TraceEvent(-1.0, "read", 0, 4096, (0,))
-    with pytest.raises(TraceParseError):
-        TraceEvent(0.0, "read", 0, 4096, ())
-
-
 # ---------------------------------------------------------------------------
 # aggregation
 
@@ -286,30 +280,30 @@ def cfg(M=2, lo=0, hi=100, nu=10.0, **kw):
 
 
 def test_aggregate_empty_slice_is_zero():
-    events = make_events([(0.0, "read", 10, 1), (25.0, "read", 10, 1)])
-    seq = aggregate(events, cfg())
+    trace = trace_of([(0.0, "read", 10, 1), (25.0, "read", 10, 1)])
+    seq = aggregate(trace, cfg())
     assert np.array_equal(seq.X[1], [0, 0])
     assert seq.A[1].dtype == np.int64 and seq.A[1].tolist() == []
 
 
 def test_aggregate_direct_histogram():
-    events = make_events([(0.0, "read", 10, 1), (1.0, "read", 10, 1),
+    trace = trace_of([(0.0, "read", 10, 1), (1.0, "read", 10, 1),
                           (2.0, "read", 60, 1)])
-    seq = aggregate(events, cfg())
+    seq = aggregate(trace, cfg())
     assert np.array_equal(seq.X, [[2, 1]])
 
 
 def test_aggregate_matches_bruteforce_recount():
     rng = np.random.default_rng(11)
-    events = make_events(sorted(
+    trace = trace_of(sorted(
         ((float(rng.uniform(0, 300)), "read", int(rng.integers(0, 10_000_000)), 4096)
          for _ in range(50)), key=lambda s: s[0]))
     c = BinningConfig(M=10, lba_lo=0, lba_hi=10_000_000, nu=30.0)
-    seq = aggregate(events, c)
+    seq = aggregate(trace, c)
     # independent recount
-    T = int(max(e.timestamp for e in events) // 30.0) + 1
+    T = int(max(e.timestamp for e in trace) // 30.0) + 1
     X = np.zeros((T, 10), dtype=int)
-    for e in events:
+    for e in trace:
         t = int(e.timestamp // 30.0)
         j = min(max((e.offset - 0) * 10 // 10_000_000, 0), 9)
         X[t, j] += 1
@@ -317,26 +311,31 @@ def test_aggregate_matches_bruteforce_recount():
 
 
 def test_aggregate_excludes_writes_by_default():
-    events = make_events([(0.0, "read", 10, 1), (1.0, "write", 10, 1)])
-    seq = aggregate(events, cfg())
+    trace = trace_of([(0.0, "read", 10, 1), (1.0, "write", 10, 1)])
+    seq = aggregate(trace, cfg())
     assert seq.X.sum() == 1
     assert seq.A[0].tolist() == sorted({0})
-    both = aggregate(events, cfg(), include_writes=True)
-    assert both.X.sum() == 2
+
+
+def test_aggregate_rejects_another_block_size():
+    trace = trace_of([(0.0, "read", 10, 1)], block_size=512)
+    with pytest.raises(ValueError, match="block size 512.*4096"):
+        aggregate(trace, cfg())
+    assert aggregate(trace, cfg(block_size=512)).X.sum() == 1
 
 
 def test_aggregate_out_of_range_clamps():
-    events = make_events([(0.0, "read", 500, 1), (0.0, "read", 0, 1)])
+    trace = trace_of([(0.0, "read", 500, 1), (0.0, "read", 0, 1)])
     c = cfg(lo=10, hi=100)
-    seq = aggregate(events, c)
+    seq = aggregate(trace, c)
     assert seq.X[0, 1] == 1 and seq.X[0, 0] == 1
 
 
 def test_aggregate_per_block_mode():
-    events = make_events([(0.0, "read", 0, 3 * 4096)])
+    trace = trace_of([(0.0, "read", 0, 3 * 4096)])
     c = BinningConfig(M=3, lba_lo=0, lba_hi=3 * 4096, nu=10.0,
                       count_per_block=True)
-    seq = aggregate(events, c)
+    seq = aggregate(trace, c)
     assert np.array_equal(seq.X, [[1, 1, 1]])
 
 
@@ -344,23 +343,23 @@ def test_aggregate_conservation_and_sparsity():
     rng = np.random.default_rng(12)
     for trial in range(5):
         n = int(rng.integers(1, 150))
-        events = make_events(sorted(
+        trace = trace_of(sorted(
             ((float(rng.uniform(0, 100)), "read",
               int(rng.integers(0, 1000)) * 2, 1) for _ in range(n)),
             key=lambda s: s[0]))
         c = BinningConfig(M=7, lba_lo=0, lba_hi=2000, nu=13.0)
-        seq = aggregate(events, c)
+        seq = aggregate(trace, c)
         assert seq.X.sum() == n  # conservation
-        touched = {c.bin_of(e.offset) for e in events}
+        touched = {c.bin_of(e.offset) for e in trace}
         untouched = set(range(7)) - touched
         for j in untouched:
             assert np.all(seq.X[:, j] == 0)  # sparsity preserved
 
 
 def test_aggregate_determinism():
-    events = make_events([(0.0, "read", 10, 1), (5.5, "read", 90, 1)])
-    a = aggregate(events, cfg())
-    b = aggregate(events, cfg())
+    trace = trace_of([(0.0, "read", 10, 1), (5.5, "read", 90, 1)])
+    a = aggregate(trace, cfg())
+    b = aggregate(trace, cfg())
     assert np.array_equal(a.X, b.X)
     assert [s.tolist() for s in a.A] == [s.tolist() for s in b.A]
 
@@ -412,21 +411,35 @@ def test_split_bad_fraction():
 # range inference and artifact round-trip
 
 def test_infer_range_uses_learning_portion():
-    events = make_events([(0.0, "read", 100, 1), (5.0, "read", 200, 1),
+    trace = trace_of([(0.0, "read", 100, 1), (5.0, "read", 200, 1),
                           (95.0, "read", 10_000, 1)])
-    lo, hi = infer_lba_range(events, nu=10.0, fraction=0.5)
+    lo, hi = infer_lba_range(trace, nu=10.0, fraction=0.5)
     assert lo == 100 and hi == 201
 
 
+def test_infer_range_cuts_where_fit_cuts():
+    # five read slices: a 0.9 split learns from the first learn_cut(5, 0.9)
+    # = 4, so the fifth slice's offset stays outside the range
+    trace = trace_of([(10.0 * t + 1, "read", 1000 * (t + 1), 1) for t in range(5)]
+                      + [(60.0, "write", 99_000, 1)])
+    assert learn_cut(5, 0.9) == 4
+    assert infer_lba_range(trace, nu=10.0, fraction=0.9) == (1000, 4001)
+    assert infer_lba_range(trace) == (1000, 5001)
+    with pytest.raises(ValueError, match="at least 2 slices"):
+        infer_lba_range(trace_of([(1.0, "read", 0, 1), (15.0, "write", 8, 1)]),
+                        nu=10.0, fraction=0.5)
+
+
 def test_binning_from_events():
-    events = make_events([(0.0, "read", 100, 1), (5.0, "read", 200, 1)])
-    c = binning_from_events(events, M=4, nu=10.0)
+    trace = trace_of([(0.0, "read", 100, 1), (5.0, "read", 200, 1)], block_size=512)
+    c = binning_from_events(trace, M=4, nu=10.0)
     assert c.lba_lo == 100 and c.lba_hi == 201 and c.M == 4
+    assert c.block_size == 512
 
 
 def test_artifact_roundtrip(tmp_path):
-    events = make_events([(0.0, "read", 10, 1), (12.0, "read", 55, 8192)])
-    seq = aggregate(events, cfg())
+    trace = trace_of([(0.0, "read", 10, 1), (12.0, "read", 55, 8192)])
+    seq = aggregate(trace, cfg())
     path = tmp_path / "counts.npz"
     save_artifact(seq, path)
     back = load_artifact(path)
@@ -439,11 +452,11 @@ def test_access_sets_are_strictly_increasing_int64(tmp_path):
     # overlapping multi-block reads and writes, several per slice, so the
     # covered ids repeat and arrive out of order within a slice
     rng = np.random.default_rng(21)
-    events = make_events(sorted(
+    trace = trace_of(sorted(
         ((float(rng.uniform(0, 100)), str(rng.choice(["read", "write"])),
           int(rng.integers(0, 200)) * 1000, int(rng.integers(1, 20_000)))
          for _ in range(300)), key=lambda s: s[0]))
-    seq = aggregate(events, cfg(hi=300_000))
+    seq = aggregate(trace, cfg(hi=300_000))
     path = tmp_path / "counts.npz"
     save_artifact(seq, path)
     for A in (seq.A, load_artifact(path).A):
@@ -451,14 +464,14 @@ def test_access_sets_are_strictly_increasing_int64(tmp_path):
         for t, a in enumerate(A):
             assert a.dtype == np.int64 and a.ndim == 1
             assert (np.diff(a) > 0).all()
-            want = {b for e in events if e.op == "read"
+            want = {b for e in trace if e.op == "read"
                     and int(e.timestamp // 10.0) == t for b in e.block_ids}
             assert a.tolist() == sorted(want)
 
 
 def test_artifact_bytes_deterministic(tmp_path):
-    events = make_events([(0.0, "read", 10, 1), (12.0, "read", 55, 1)])
-    seq = aggregate(events, cfg())
+    trace = trace_of([(0.0, "read", 10, 1), (12.0, "read", 55, 1)])
+    seq = aggregate(trace, cfg())
     p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
     save_artifact(seq, p1)
     save_artifact(seq, p2)
