@@ -114,7 +114,11 @@ def cmd_eval(args):
     _, operate = ingest.split_learn_operate(seq, cfg["split"])
     rows = []
     for model_path in args.models:
-        model, _, _ = predict.load_model(model_path)
+        model, _, binning = predict.load_model(model_path)
+        # heldout_loglik reports a differing bin count
+        if model.M == seq.config.M and binning != seq.config:
+            raise ConfigError(f"model {model_path} was fitted on {binning} but the "
+                              f"artifact was aggregated with {seq.config}")
         ll = gibbs.heldout_loglik(model, operate)
         rows.append((model_path, model.kind, ll))
     lines = ["model,kind,heldout_loglik"]

@@ -18,6 +18,13 @@ X[t,l] are both nonzero.  A zero count forces row j of Y[t] to be all zero,
 so the conditional of every pair in that row is a point mass at its current
 value; skipping those updates leaves the Markov kernel unchanged.
 
+For the sparse kinds a new cluster's activity vector has no closed-form
+integral, so the assignment step follows Neal's (2000) Algorithm 8: _N_AUX
+empty candidates, with vectors drawn from the collapsed Beta-Bernoulli
+predictive of the other clusters (the first one the slice's old vector when
+it was alone), share the new-cluster prior weight.  The step is exact for any
+number of candidates.
+
 Every predictive the sampler evaluates, for an existing cluster, a new one,
 the noise pools or a latent pair, is a sum of _log_gain terms, the one
 Poisson-Gamma predictive gain.
@@ -45,6 +52,10 @@ ALL_KINDS = (DP_MIP, DP_MMVP, HMM_DP_MIP, HMM_DP_MMVP,
 
 # dimensions whose empirical mean exceeds this start out active
 _B_INIT_MEAN = 0.25
+
+# new-cluster candidates of a sparse assignment step; the step is exact for
+# any value >= 1, so this only trades mixing against cost
+_N_AUX = 5
 
 _BETA_FLOOR = 1e-12
 
@@ -325,26 +336,22 @@ def _project_batch(Yt, act):
 
 
 def f_existing(t, k, state):
-    """Log predictive of assigning slice t to existing cluster k.
-
-    Evaluated on Y[t] projected onto k's active set; covers the change of
-    every active collapsed factor plus, for sparse kinds, the noise factors
-    of k's inactive dimensions.
-    """
-    return _f_existing_batch(t, state)[k]
+    """Log predictive of assigning slice t to existing cluster k."""
+    return _f_candidates(t, state, state.b, state.S, state.n_k)[k]
 
 
-def _f_existing_batch(t, state):
-    """f_existing(t, k, state) for every existing k in one vectorized pass."""
-    if state.K == 0:
-        return np.zeros(0)
+def _f_candidates(t, state, b, S, n):
+    """Log predictive of slice t joining each candidate cluster r, given its
+    activity row b[r], summed latent matrix S[r] and size n[r]: the change of
+    every active collapsed factor, on Y[t] projected onto the row's active
+    set, plus for sparse kinds the noise factors of its inactive dimensions."""
     hp = state.hp
     if is_sparse(state.kind):
-        act = state.b.astype(bool)
+        act = b.astype(bool)
         Yp, fm = _project_batch(state.Y[t], act)
     else:
         Yp, fm = state.Y[t], _pair_mask(state.kind, None, state.M)
-    gain = _log_gain(state.S, state.n_k[:, None, None], Yp, hp.a_bar, hp.b_bar)
+    gain = _log_gain(S, n[:, None, None], Yp, hp.a_bar, hp.b_bar)
     out = np.where(fm, gain, 0.0).sum(axis=(1, 2))
     if is_sparse(state.kind):
         # per-dimension noise predictive is cluster-independent
@@ -360,71 +367,21 @@ def _f_new_const(state, t):
                            state.hp.a_bar, state.hp.b_bar).sum())
 
 
-def f_new_sparse(t, state, rng, n_samples=20, flip_prob=0.2,
-                 b_init=None, _return_samples=False):
-    """Monte-Carlo estimate of the log marginal of opening a new cluster for
-    slice t, averaging the activity-conditional likelihood over a short MH
-    chain on the candidate activity vector.
-
-    The chain targets the collapsed Beta-Bernoulli conditional of a new
-    cluster's activity given the existing ones, proposes independent
-    per-coordinate flips, and starts from the activity vector of t's current
-    (old) cluster.
-    """
+def f_new_sparse(t, state, rng, old_b=None):
+    """The activity vectors of the _N_AUX new-cluster candidates for detached
+    slice t: i.i.d. draws from the collapsed Beta-Bernoulli predictive of the
+    remaining clusters.  When t was alone in its cluster, that cluster's
+    vector old_b takes the first row.  Returns an (_N_AUX, M) int8 array."""
     if not is_sparse(state.kind):
-        raise ValueError("new-cluster activity marginal only applies to sparse kinds")
-    hp = state.hp
-    M = state.M
+        raise ValueError("new-cluster activity vectors only apply to sparse kinds")
     if state.Z[t] >= 0:
-        # direct call with t still assigned: evaluate against pools without t
-        k_cur = int(state.Z[t])
-        if b_init is None:
-            b_init = state.b[k_cur].copy()
-        S_hat = state.S_hat.copy()
-        n_hat = state.n_hat.copy()
-        inact = state.b[k_cur] == 0
-        S_hat[inact] -= state.Y[t].diagonal()[inact]
-        n_hat[inact] -= 1
-    else:
-        if b_init is None:
-            raise ValueError("b_init required once t has been detached")
-        S_hat = state.S_hat
-        n_hat = state.n_hat
-    c = state.b.sum(axis=0)
-    p_act = (c + hp.a_prime) / (state.K + hp.a_prime + hp.b_prime)
-    log_p1 = np.log(p_act)
-    log_p0 = np.log1p(-p_act)
-
-    def log_prior(vec):
-        return float(np.where(vec == 1, log_p1, log_p0).sum())
-
-    # The chain accepts on the prior alone, so it runs first; the distinct
-    # vectors it visits are then scored in one batch.
-    cur = np.asarray(b_init, dtype=np.int8).copy()
-    cur_lp = log_prior(cur)
-    seen = {cur.tobytes(): 0}       # distinct visited vectors, in visit order
-    row = 0
-    visits = np.empty(n_samples, dtype=np.int64)
-    for s_i in range(n_samples):
-        flips = rng.random(M) < flip_prob
-        if flips.any():
-            prop = cur ^ flips
-            prop_lp = log_prior(prop)
-            if np.log(rng.random()) < prop_lp - cur_lp:
-                cur, cur_lp = prop, prop_lp
-                row = seen.setdefault(cur.tobytes(), len(seen))
-        visits[s_i] = row
-    vecs = np.frombuffer(b"".join(seen), dtype=np.int8).reshape(len(seen), M)
-    act = vecs.astype(bool)
-    Yp, fm = _project_batch(state.Y[t], act)
-    h = (np.where(fm, _log_gain(0, 0, Yp, hp.a_bar, hp.b_bar), 0.0).sum(axis=(1, 2))
-         + (~act).astype(float) @ _log_gain(S_hat, n_hat, state.X[t], hp.a_hat, hp.b_hat))
-    hs = h[visits]
-    top = hs.max()
-    log_marg = float(top + np.log(np.exp(hs - top).sum()) - np.log(n_samples))
-    if _return_samples:
-        return log_marg, vecs[visits], hs
-    return log_marg
+        raise ValueError("slice t must be detached from its cluster")
+    hp = state.hp
+    p_act = (state.b.sum(axis=0) + hp.a_prime) / (state.K + hp.a_prime + hp.b_prime)
+    aux = (rng.random((_N_AUX, state.M)) < p_act).astype(np.int8)
+    if old_b is not None:
+        aux[0] = old_b
+    return aux
 
 
 def sample_z_dp(t, state, rng):
@@ -442,7 +399,7 @@ def sample_z_hdp(t, state, rng):
     return _sample_z(t, state, rng)
 
 
-def _log_prior_z(state, prev_k, next_k):
+def _log_z_weights(state, prev_k, next_k):
     """Log prior weights of the K existing clusters and a new one for a
     detached slice: the CRP sizes for the exchangeable kinds; for the Markov
     kinds, the terms of its edges from prev_k and to next_k (None at the ends
@@ -467,11 +424,11 @@ def _log_prior_z(state, prev_k, next_k):
 
 def _sample_z(t, state, rng):
     """The assignment step of both priors: detach slice t and its edges,
-    weigh every existing cluster and a new one, attach t to the draw.  A new
-    cluster takes its activity vector by importance-resampling the MH
-    samples of f_new_sparse with the conditional likelihood as weight."""
+    weigh every existing cluster and the new-cluster candidates, attach t to
+    one categorical draw.  The sparse kinds' candidates are the auxiliary
+    activity vectors of f_new_sparse, each with 1/_N_AUX of the new-cluster
+    prior weight; a chosen one opens the new cluster with its vector."""
     old_k = int(state.Z[t])
-    old_b = state.b[old_k].copy()
     temporal = is_temporal(state.kind)
     prev_k = int(state.Z[t - 1]) if temporal and t > 0 else None
     next_k = int(state.Z[t + 1]) if temporal and t < state.T - 1 else None
@@ -480,24 +437,29 @@ def _sample_z(t, state, rng):
     if next_k is not None:
         state.n_trans[old_k, next_k] -= 1
     _remove_from_cluster(state, t)
+    old_b = None
     if state.n_k[old_k] == 0:
+        old_b = state.b[old_k].copy()
         _delete_cluster(state, old_k)
         if prev_k is not None and prev_k > old_k:
             prev_k -= 1
         if next_k is not None and next_k > old_k:
             next_k -= 1
     sparse = is_sparse(state.kind)
+    prior = _log_z_weights(state, prev_k, next_k)
     if sparse:
-        log_new, vecs, hs = f_new_sparse(t, state, rng, b_init=old_b,
-                                         _return_samples=True)
+        # the auxiliaries are empty clusters: zero sums, size 0
+        aux = f_new_sparse(t, state, rng, old_b)
+        S = np.concatenate([state.S, np.zeros((_N_AUX, state.M, state.M), dtype=np.int64)])
+        n = np.append(state.n_k, np.zeros(_N_AUX, dtype=np.int64))
+        prior = np.append(prior[:-1], np.full(_N_AUX, prior[-1] - np.log(_N_AUX)))
+        logw = prior + _f_candidates(t, state, np.concatenate([state.b, aux]), S, n)
     else:
-        log_new = _f_new_const(state, t)
-    logw = (_log_prior_z(state, prev_k, next_k)
-            + np.append(_f_existing_batch(t, state), log_new))
+        logw = prior + np.append(_f_candidates(t, state, state.b, state.S, state.n_k),
+                                 _f_new_const(state, t))
     pick = _categorical_from_log(logw, rng)
-    if pick == state.K:
-        new_b = (vecs[_categorical_from_log(hs, rng)] if sparse
-                 else np.ones(state.M, dtype=np.int8))
+    if pick >= state.K:
+        new_b = aux[pick - state.K] if sparse else np.ones(state.M, dtype=np.int8)
         pick = _create_cluster(state, new_b, rng)
     if sparse:
         state.Y[t] = _project_to_support(state.Y[t], state.b[pick])

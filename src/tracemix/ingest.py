@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TraceParseError
+from .errors import ConfigError, TraceParseError
 
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -353,8 +353,8 @@ def infer_lba_range(trace: Trace, nu=None, fraction=None):
     """(lo, hi) covering the read offsets in the learning part of a trace.
 
     With nu and fraction given, only reads in the first learn_cut(T,
-    fraction) of the T read slices count, the slices a fit learns from;
-    later offsets outside the range clamp to edge bins.
+    fraction) of the T read slices count, the slices a fit learns from, and
+    there must be some; later offsets outside the range clamp to edge bins.
     """
     pool = trace.reads()
     if not len(pool):
@@ -363,8 +363,9 @@ def infer_lba_range(trace: Trace, nu=None, fraction=None):
     if nu is not None and fraction is not None:
         cutoff = learn_cut(pool.slice_count(nu), fraction) * nu
         learn = pool.timestamp < cutoff
-        if learn.any():
-            offsets = offsets[learn]
+        if not learn.any():
+            raise ConfigError("the learning part of the trace holds no reads")
+        offsets = offsets[learn]
     return int(offsets.min()), int(offsets.max()) + 1
 
 

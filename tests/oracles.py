@@ -301,73 +301,6 @@ def forward_loglik(pi0, pi, mu, X):
 # ---------------------------------------------------------------------------
 # the sampler kernels as first written, one predictive call per candidate
 
-def reference_f_new_sparse(t, state, rng, n_samples=20, flip_prob=0.2,
-                           b_init=None):
-    """The new-cluster activity marginal scoring each visited activity vector
-    as the chain reaches it.  Returns (log marginal, samples, hs)."""
-    from scipy.special import logsumexp
-    hp = state.hp
-    M = state.M
-    if state.Z[t] >= 0:
-        k_cur = int(state.Z[t])
-        if b_init is None:
-            b_init = state.b[k_cur].copy()
-        S_hat = state.S_hat.copy()
-        n_hat = state.n_hat.copy()
-        inact = state.b[k_cur] == 0
-        S_hat[inact] -= state.Y[t].diagonal()[inact]
-        n_hat[inact] -= 1
-    else:
-        S_hat = state.S_hat
-        n_hat = state.n_hat
-    a, b = hp.a_bar, hp.b_bar
-
-    c = state.b.sum(axis=0)
-    p_act = (c + hp.a_prime) / (state.K + hp.a_prime + hp.b_prime)
-    log_p1 = np.log(p_act)
-    log_p0 = np.log1p(-p_act)
-
-    triu = np.triu(np.ones((M, M), dtype=bool))
-    x_t = state.X[t]
-    glx = gammaln(x_t + 1.0)
-
-    def log_prior(vec):
-        return float(np.where(vec == 1, log_p1, log_p0).sum())
-
-    def log_h(vec):
-        act = vec.astype(bool)
-        Yp = project(state.Y[t], vec)
-        mask = triu & np.outer(act, act)
-        y = Yp[mask].astype(float)
-        out = float((gammaln(a + y) - (a + y) * np.log(b + 1.0) - gammaln(y + 1.0)
-                     - (gammaln(a) - a * np.log(b))).sum())
-        if (~act).any():
-            s = S_hat[~act].astype(float)
-            n = n_hat[~act].astype(float)
-            x = x_t[~act].astype(float)
-            out += float((gammaln(hp.a_hat + s + x) - gammaln(hp.a_hat + s)
-                          - (hp.a_hat + s + x) * np.log(hp.b_hat + n + 1.0)
-                          + (hp.a_hat + s) * np.log(hp.b_hat + n)
-                          - glx[~act]).sum())
-        return out
-
-    cur = np.asarray(b_init, dtype=np.int8).copy()
-    cur_lp = log_prior(cur)
-    hs = np.empty(n_samples)
-    samples = np.empty((n_samples, M), dtype=np.int8)
-    for s_i in range(n_samples):
-        flips = rng.random(M) < flip_prob
-        if flips.any():
-            prop = cur.copy()
-            prop[flips] ^= 1
-            prop_lp = log_prior(prop)
-            if np.log(rng.random()) < prop_lp - cur_lp:
-                cur, cur_lp = prop, prop_lp
-        samples[s_i] = cur
-        hs[s_i] = log_h(cur)
-    return float(logsumexp(hs) - np.log(n_samples)), samples, hs
-
-
 def _pred_delta(hp, S_k, n, Yt, mask):
     """Log predictive of pooling Yt's masked entries into the active factors
     with summed counts S_k over n observations."""

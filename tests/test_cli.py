@@ -219,3 +219,17 @@ def test_simulate_replays_at_the_model_block_size(tmp_path, capsys):
     assert cli.main([*simulate, "--block-size", "4096"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "4096" in err and "512" in err
+
+
+@pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
+def test_fit_is_deterministic_given_its_seed(tmp_path, kind):
+    trace, artifact = tmp_path / "trace.csv", tmp_path / "counts.npz"
+    write_msr(trace, motif_rows(12, np.random.default_rng(5)))
+    assert run("aggregate", "--trace", str(trace), "--out", str(artifact),
+               "--bins", "4") == cli.EXIT_OK
+    models = [tmp_path / "model0.npz", tmp_path / "model1.npz"]
+    for model in models:
+        assert run("fit", "--artifact", str(artifact), "--out", str(model),
+                   "--kind", kind, "--iters", "2", "--burn-in", "1",
+                   "--seed", "3") == cli.EXIT_OK
+    assert models[0].read_bytes() == models[1].read_bytes()

@@ -1,11 +1,12 @@
 """Command-line settings that must fail as config errors before any work."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tracemix import cli, gibbs, ingest, predict
+from tracemix import cli, gibbs, ingest, predict, synth
 from tracemix.ingest import BinningConfig, CountVectorSequence
 from tracemix.models import Hyperparams
 
@@ -107,6 +108,43 @@ def test_eval_rejects_a_model_of_another_bin_count(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error: model was fitted with 3 bins but the data has 4" in err
+    assert not out.exists()
+
+
+def test_eval_rejects_a_model_of_another_binning(tmp_path, capsys):
+    # the same trace aggregated twice with ten bins: 30 s slices of 4096-byte
+    # blocks for the fit, 10 s slices of 512-byte blocks for the eval
+    trace = tmp_path / "trace.csv"
+    synth.write_trace_csv(synth.gen_block_trace(
+        replace(synth.default_trace_spec(seed=1), T=120)), trace)
+    c30, c10, model = tmp_path / "c30.npz", tmp_path / "c10.npz", tmp_path / "m30.npz"
+    plain = ["--format", "plain", "--split", "0.5"]
+    for out, secs, block in ((c30, "30", "4096"), (c10, "10", "512")):
+        assert cli.main(["aggregate", "--trace", str(trace), "--out", str(out),
+                         "--slice-secs", secs, "--block-size", block, *plain]) == cli.EXIT_OK
+    assert cli.main(["fit", "--artifact", str(c30), "--out", str(model),
+                     "--kind", "hmm-dp-mip", "--iters", "2", "--burn-in", "1",
+                     *plain]) == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(["eval", "--artifact", str(c10), "--models", str(model), *plain])
+    assert code == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and str(model) in out.err
+    assert "nu=30.0, block_size=4096" in out.err and "nu=10.0, block_size=512" in out.err
+    assert cli.main(["eval", "--artifact", str(c30), "--models", str(model),
+                     *plain]) == cli.EXIT_OK
+
+
+def test_aggregate_needs_reads_in_the_learning_part(tmp_path, capsys):
+    # the reads fall in slices 5 and 6 of 7, both past the learning cut, so
+    # no address range can be learnt
+    trace, out = tmp_path / "trace.csv", tmp_path / "counts.npz"
+    trace.write_text("0,write,0,4096\n155,read,409600,4096\n185,read,819200,4096\n")
+    code = cli.main(["aggregate", "--format", "plain", "--trace", str(trace),
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "the learning part of the trace holds no reads" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,6 +3,8 @@ on small fixtures.  The enumeration evaluates full configurations with the
 independent joint density in oracles.py, never the sampler's incremental
 bookkeeping."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,39 @@ def test_sample_z_dp_matches_enumeration():
         lambda st: partition_of(st, t), seed=2)
     for key in keys:
         assert freqs.get(key, 0.0) == pytest.approx(probs[key], abs=TOL), key
+
+
+def test_sample_z_dp_sparse_keeps_the_exact_conditional():
+    # With finite auxiliaries one step from a fixed start is not an exact
+    # draw, but it leaves the conditional of (t's partition, t's vector when
+    # alone) invariant: starts drawn from it must end in it.  Y[t] is
+    # diagonal, so no candidate support moves its latents.
+    hp = Hyperparams()
+    X = np.array([[2, 1], [0, 1], [1, 0]])
+    Y = np.zeros((3, 2, 2), dtype=np.int64)
+    Y[:, [0, 1], [0, 1]] = X
+    b = [[1, 1], [0, 1]]
+    t = 2
+    configs = {(frozenset({k}), None): ([0, 1, k], b) for k in (0, 1)}
+    for vec in itertools.product((0, 1), repeat=2):
+        configs[(frozenset(), vec)] = ([0, 1, 2], b + [list(vec)])
+    keys = list(configs)
+    probs = normalized([oracles.full_joint(X, z, Y, bc, [0.25] * 4, hp, temporal=False,
+                                           sparse=True, diag=False)
+                        for z, bc in configs.values()])
+    starts = [oracles.build_state(gibbs.SPARSE_DP_MMVP, X, z, Y, bc,
+                                  [1.0 / (len(bc) + 1)] * (len(bc) + 1), hp)
+              for z, bc in configs.values()]
+    rng = np.random.default_rng(18)
+    n = 40_000
+    counts = dict.fromkeys(keys, 0)
+    for start in rng.choice(len(keys), size=n, p=probs):
+        st = starts[start].clone()
+        gibbs.sample_z_dp(t, st, rng)
+        shared = partition_of(st, t)
+        counts[(shared, None if shared else tuple(st.b[st.Z[t]].tolist()))] += 1
+    for key, p in zip(keys, probs):
+        assert counts[key] / n == pytest.approx(p, abs=TOL), key
 
 
 # ---------------------------------------------------------------------------

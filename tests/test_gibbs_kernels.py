@@ -1,9 +1,8 @@
 """The sparsity-aware sampler kernels against the kernels they replaced.
 
 A sweep skips the latent pairs that have a zero count, so those updates must
-be no-ops; the one-array split-merge scan and the batched new-cluster
-marginal must reproduce the per-slice and per-vector references in
-oracles.py draw for draw from the same seed."""
+be no-ops; the one-array split-merge scan must reproduce the per-slice
+reference in oracles.py draw for draw from the same seed."""
 
 import itertools
 
@@ -144,33 +143,6 @@ def test_allocation_scan_of_no_slices():
                                           0, 1, rng)
     assert log_q == 0.0 and sides.shape == (0,)
     assert rng.bit_generator.state == before
-
-
-# ---------------------------------------------------------------------------
-# batched new-cluster marginal
-
-@pytest.mark.parametrize("flip_prob", [0.2, 0.5])
-def test_f_new_sparse_matches_reference(flip_prob):
-    for seed in range(4):
-        state = random_state(gibbs.SPARSE_HMM_DP_MMVP, seed=20 + seed, T=30)
-        for t in range(0, state.T, 3):
-            st, b_init = state, None
-            if seed % 2:
-                # detached, as sample_z calls it
-                st = state.clone()
-                b_init = st.b[st.Z[t]].copy()
-                gibbs._remove_from_cluster(st, t)
-            rng_new, rng_ref = (np.random.default_rng(100 * seed + t),
-                                np.random.default_rng(100 * seed + t))
-            log_m, samples, hs = gibbs.f_new_sparse(
-                t, st, rng_new, 20, flip_prob, b_init=b_init,
-                _return_samples=True)
-            ref_m, ref_samples, ref_hs = oracles.reference_f_new_sparse(
-                t, st, rng_ref, 20, flip_prob, b_init=b_init)
-            assert np.array_equal(samples, ref_samples)
-            assert np.allclose(hs, ref_hs, rtol=0, atol=1e-9)
-            assert log_m == pytest.approx(ref_m, abs=1e-9, rel=0)
-            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", [gibbs.DP_MMVP, gibbs.HMM_DP_MIP])

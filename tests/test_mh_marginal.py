@@ -1,5 +1,5 @@
-"""The new-cluster activity marginal: Monte-Carlo estimates against the exact
-sum over candidate activity vectors."""
+"""The new-cluster activity marginal: the auxiliary candidates of the sparse
+assignment step against the exact sum over candidate activity vectors."""
 
 import itertools
 
@@ -67,36 +67,49 @@ def m2_fixture():
                                [[1, 0], [1, 1]], [0.5, 0.3, 0.2], hp)
 
 
+def detached(state, t):
+    """t taken out of its cluster's statistics with the cluster kept, so the
+    activity predictive counts it as exact_new_cluster_marginal does."""
+    st = state.clone()
+    gibbs._remove_from_cluster(st, t)
+    return st
+
+
+def aux_log_predictives(t, state, aux):
+    """Log predictive of t opening a cluster with each auxiliary vector."""
+    R, M = aux.shape
+    return gibbs._f_candidates(t, state, aux, np.zeros((R, M, M), dtype=np.int64),
+                               np.zeros(R, dtype=np.int64))
+
+
 @pytest.mark.parametrize("fixture,t", [(m1_fixture, 1), (m2_fixture, 2)])
-def test_mc_marginal_within_three_ses(fixture, t):
+def test_aux_marginal_within_three_ses(fixture, t):
+    # the auxiliaries' mean predictive is an unbiased estimate of the
+    # new-cluster marginal, so its mean over many draws lies within three
+    # standard errors of the exact sum
     state = fixture()
     exact = exact_new_cluster_marginal(state, t)
+    st = detached(state, t)
     rng = np.random.default_rng(42)
-    reps = 200
+    n = 20_000
     estimates = np.array([
-        np.exp(gibbs.f_new_sparse(t, state, rng, n_samples=20, flip_prob=0.2))
-        for _ in range(reps)])
-    sd = estimates.std(ddof=1)
-    assert abs(estimates.mean() - exact) < 3 * sd
+        np.exp(aux_log_predictives(t, st, gibbs.f_new_sparse(t, st, rng))).mean()
+        for _ in range(n)])
+    se = estimates.std(ddof=1) / np.sqrt(n)
+    assert abs(estimates.mean() - exact) < 3 * se
 
 
-def test_mc_marginal_consistent_with_long_chain():
-    state = m2_fixture()
-    exact = exact_new_cluster_marginal(state, 2)
-    rng = np.random.default_rng(7)
-    est = np.exp(gibbs.f_new_sparse(2, state, rng, n_samples=20_000,
-                                    flip_prob=0.4))
-    assert est == pytest.approx(exact, rel=0.05)
+def test_singleton_vector_is_the_first_auxiliary():
+    state = detached(m2_fixture(), 2)
+    old_b = np.array([0, 1], dtype=np.int8)
+    aux = gibbs.f_new_sparse(2, state, np.random.default_rng(0), old_b)
+    assert aux.shape == (gibbs._N_AUX, 2)
+    assert np.array_equal(aux[0], old_b)
 
 
-def test_degenerate_flip_prob_freezes_chain():
-    state = m1_fixture()
-    rng = np.random.default_rng(3)
-    got = gibbs.f_new_sparse(1, state, rng, n_samples=20, flip_prob=0.0)
-    # chain can never leave b_init = current cluster's activity (all active)
-    hp = state.hp
-    h = oracles.poisson_gamma_marginal_exact([3], hp.a_bar, hp.b_bar)
-    assert got == pytest.approx(np.log(h))
+def test_auxiliaries_need_a_detached_slice():
+    with pytest.raises(ValueError, match="detached"):
+        gibbs.f_new_sparse(1, m1_fixture(), np.random.default_rng(0))
 
 
 def test_marginal_requires_sparse_kind():
