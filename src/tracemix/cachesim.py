@@ -12,6 +12,13 @@ capacity C leaves exactly the last min(n, C) of them, in that order, whatever
 the cache held before.  Access-map entries arrive as sorted distinct arrays,
 so a preload converts and places only the last C ids of the predicted set;
 its volume and the preload log still count the whole set.
+
+Memory: beyond the trace's columns (25 bytes per row) and the cache, the
+simulators and `capacity_from_trace` expand block ids, and the simulators
+turn them into Python ints, for about `ingest.GROUP_ROWS` rows at a time,
+cut at slice boundaries for the preloading replay.  So what they hold does
+not grow with the trace, except the footprint count, which holds up to
+twice the footprint's ids.
 """
 
 import math
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import BinningConfig, Trace, check_block_size
+from .ingest import BinningConfig, Trace, check_block_size, distinct
 from . import predict
 
 
@@ -119,17 +126,28 @@ def capacity_from_trace(trace: Trace, fraction) -> int:
     touched), never below one block."""
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
-    ids, _ = trace.block_ids()
-    return max(1, math.ceil(fraction * len(np.unique(ids))))
+    seen, pending = np.zeros(0, dtype=np.int64), []
+    for rows in trace.row_groups():
+        pending.append(distinct(rows.block_ids()[0]))
+        # merge once the pending ids outnumber the merged ones: each id is
+        # merged a few times, and at most twice the footprint is held
+        if sum(map(len, pending)) > len(seen):
+            seen, pending = distinct(np.concatenate([seen, *pending])), []
+    footprint = len(distinct(np.concatenate([seen, *pending])))
+    return max(1, math.ceil(fraction * footprint))
 
 
 def simulate_baseline(trace: Trace, capacity, record_outcomes=False) -> SimReport:
     """Replay the read requests against a plain LRU cache."""
     started = time.monotonic()
-    ids, _ = trace.reads().block_ids()
+    cache = LRUCache(capacity)
     outcomes = [] if record_outcomes else None
-    hits = LRUCache(capacity).access_all(ids.tolist(), outcomes)
-    return SimReport.from_counts(hits, len(ids) - hits,
+    hits = blocks = 0
+    for rows in trace.row_groups():
+        ids = rows.reads().block_ids()[0].tolist()
+        hits += cache.access_all(ids, outcomes)
+        blocks += len(ids)
+    return SimReport.from_counts(hits, blocks - hits,
                                  wall_clock=time.monotonic() - started,
                                  outcomes=outcomes)
 
@@ -152,14 +170,9 @@ def simulate_preloading(trace: Trace, model, access_map, binning: BinningConfig,
             f"model was fitted with {model.M} bins but binning has {binning.M}")
     check_block_size(trace, binning)
     started = time.monotonic()
-    reads = trace.reads()
-    n_slices = trace.slice_count(binning.nu)
-    X = binning.slice_counts(reads, n_slices)
-    ids, bounds = reads.blocks_by_slice(binning.nu, n_slices)
-    blocks = ids.tolist()
     cache = LRUCache(capacity)
     decoder = predict.new_decoder(model)
-    hits = 0
+    hits = n_blocks = 0
     outcomes = [] if record_outcomes else None
     preload_volumes = []
 
@@ -171,12 +184,17 @@ def simulate_preloading(trace: Trace, model, access_map, binning: BinningConfig,
             preload_log.append(predicted)
 
     preload()  # before any slice completes, from the initial distribution
-    for s in range(n_slices):
-        if s:
-            predict.decoder_observe(decoder, model, X[s - 1])
-            preload()
-        hits += cache.access_all(blocks[bounds[s]:bounds[s + 1]], outcomes)
-    return SimReport.from_counts(hits, len(blocks) - hits,
+    n_slices = trace.slice_count(binning.nu)
+    for first, stop, rows in trace.slice_groups(binning.nu, n_slices):
+        X, ids, bounds = binning.slice_counts(rows.reads(), first, stop)
+        blocks = ids.tolist()
+        n_blocks += len(blocks)
+        for i in range(stop - first):
+            hits += cache.access_all(blocks[bounds[i]:bounds[i + 1]], outcomes)
+            if first + i + 1 < n_slices:
+                predict.decoder_observe(decoder, model, X[i])
+                preload()
+    return SimReport.from_counts(hits, n_blocks - hits,
                                  preload_volumes=preload_volumes,
                                  wall_clock=time.monotonic() - started,
                                  outcomes=outcomes)

@@ -2,11 +2,14 @@
 
 Every subcommand is deterministic given its config and seed.  Defaults follow
 the usual desk setup (10 bins, 30 s slices, 50% split, 5% cache) and can be
-overridden by a JSON config file and/or flags; explicit flags win.
+overridden by a JSON config file and/or flags; explicit flags win.  eval and
+simulate take the bins, slice length and block size of the artifact or model
+they read, and refuse an explicit setting that differs.
 """
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,22 +41,42 @@ DEFAULTS = {
 }
 
 
-def _merge_config(args):
-    """Layer file config over defaults, then explicit flags over both."""
-    cfg = dict(DEFAULTS)
+# The settings an aggregated artifact fixes, and its BinningConfig fields.
+_BINNING_FIELDS = {"bins": "M", "slice_secs": "nu", "block_size": "block_size"}
+
+
+def _merge_config(args, fixed=None):
+    """Layer file config over defaults, then explicit flags over both.
+
+    fixed is None or (path, BinningConfig) of the model or artifact a
+    command reads: bins, slice_secs and block_size then take its values, and
+    an explicit value, from the file or a flag, that differs is a
+    ConfigError naming both.
+    """
+    explicit = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(DEFAULTS)
+            explicit = json.load(fh)
+        unknown = set(explicit) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    explicit.update((key, getattr(args, key)) for key in DEFAULTS
+                    if getattr(args, key, None) is not None)
+    cfg = {**DEFAULTS, **explicit}
     if cfg["kind"] not in gibbs.ALL_KINDS:
         raise ConfigError(f"kind must be one of {gibbs.ALL_KINDS}")
+    nu = cfg["slice_secs"]
+    if type(nu) not in (int, float) or not 0 < nu < math.inf:
+        raise ConfigError(f"slice_secs must be a positive finite number of "
+                          f"seconds, got {nu!r}")
+    if fixed is not None:
+        path, binning = fixed
+        for key, name in _BINNING_FIELDS.items():
+            value = getattr(binning, name)
+            if explicit.get(key) not in (None, value):
+                raise ConfigError(f"{key} {explicit[key]} disagrees with {path}, "
+                                  f"aggregated with {key} {value}")
+            cfg[key] = value
     return cfg
 
 
@@ -109,8 +132,8 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
-    cfg = _merge_config(args)
     seq = ingest.load_artifact(args.artifact)
+    cfg = _merge_config(args, (args.artifact, seq.config))
     _, operate = ingest.split_learn_operate(seq, cfg["split"])
     rows = []
     for model_path in args.models:
@@ -131,16 +154,13 @@ def cmd_eval(args):
 
 
 def cmd_simulate(args):
-    cfg = _merge_config(args)
     model, access_map, binning = predict.load_model(args.model)
-    if cfg["block_size"] not in (None, binning.block_size):
-        raise ConfigError(f"block size {cfg['block_size']} disagrees with the "
-                          f"model's block size {binning.block_size}")
+    cfg = _merge_config(args, (args.model, binning))
     trace = ingest.parse_trace(args.trace, format_id=cfg["format"],
                                block_size=binning.block_size)
     # operating phase = slices past the learning cut, in wall-clock terms;
     # like fit, the cut counts the slices up to the last read
-    read_slices = trace.reads().slice_count(binning.nu)
+    read_slices = trace.read_slice_count(binning.nu)
     boundary = ingest.learn_cut(read_slices, cfg["split"]) * binning.nu
     operate = trace.since(boundary)
     if not operate.is_read.any():

@@ -8,13 +8,20 @@ we chop time into fixed-length slices and the address range into M equal
 bins, turning the trace's reads into a sequence of M-dimensional count
 vectors plus, per slice, the distinct block ids touched as a sorted int64
 array (used later to preload the cache).
+
+Memory: a parsed Trace keeps its columns at 25 bytes per row (float64
+timestamp, bool op flag, int64 offset and size).  Everything else is bounded
+by a chunk: `parse_trace` reads about CHUNK_BYTES of text at a time, and the
+aggregation steps expand block ids for about GROUP_ROWS rows at a time, cut
+at slice boundaries, taking row ranges as views.  Input whose timestamps are
+not in order also needs one stable sort over the whole trace.
 """
 
 import csv
 import io
 import math
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,6 +30,13 @@ import numpy as np
 from .errors import ConfigError, TraceParseError
 
 DEFAULT_BLOCK_SIZE = 4096
+
+# Text parsed per step; a parse holds about eight times this at its peak.
+CHUNK_BYTES = 1 << 19
+
+# Rows per step of the loops over a parsed trace: enough that per-call numpy
+# costs vanish, few enough that the expanded block ids take a few MB.
+GROUP_ROWS = 1 << 15
 
 # Windows FILETIME tick length, used by the MSR enterprise traces.
 _FILETIME_TICKS_PER_SEC = 1e7
@@ -80,13 +94,15 @@ class Trace:
                              blocks_covered(offset, size, self.block_size))
 
     def select(self, rows) -> "Trace":
-        """The rows picked by a boolean mask or an index array."""
+        """The rows picked by a boolean mask, an index array or a slice; a
+        slice gives views of the columns."""
         return Trace(self.timestamp[rows], self.is_read[rows],
                      self.offset[rows], self.size[rows], self.block_size)
 
     def since(self, start) -> "Trace":
-        """Rows at or after time start, with start as the new time zero."""
-        rest = self.select(self.timestamp >= start)
+        """Rows at or after time start, with start as the new time zero.
+        Only the timestamps are copied."""
+        rest = self.select(slice(int(np.searchsorted(self.timestamp, start)), None))
         return replace(rest, timestamp=rest.timestamp - start)
 
     def reads(self) -> "Trace":
@@ -101,6 +117,51 @@ class Trace:
         """Slices of nu seconds up to the one holding the last row."""
         return int(self.timestamp[-1] // nu) + 1 if len(self) else 0
 
+    def read_slice_count(self, nu) -> int:
+        """Slices of nu seconds up to the one holding the last read; 0
+        without reads."""
+        for stop in range(len(self), 0, -GROUP_ROWS):
+            start = max(stop - GROUP_ROWS, 0)
+            reads = np.flatnonzero(self.is_read[start:stop])
+            if len(reads):
+                return int(self.timestamp[start + reads[-1]] // nu) + 1
+        return 0
+
+    def row_groups(self):
+        """Views of the rows, about GROUP_ROWS at a time, in order."""
+        for start in range(0, len(self), GROUP_ROWS):
+            yield self.select(slice(start, start + GROUP_ROWS))
+
+    def slice_groups(self, nu, T):
+        """(first, stop, rows) for consecutive runs of whole slices of nu
+        seconds that cover slices 0 to T - 1: rows is a view of the rows of
+        slices first to stop - 1.  A run takes slices until it holds
+        GROUP_ROWS rows or reaches T, so it holds fewer than GROUP_ROWS rows
+        plus those of its last slice.  Rows of slices T and later are left
+        out."""
+        last = self._slice_start(nu, T)
+        first = start = 0
+        while first < T:
+            if start + GROUP_ROWS >= last:
+                stop, end = T, last
+            else:
+                stop = int(self.timestamp[start + GROUP_ROWS - 1] // nu) + 1
+                end = self._slice_start(nu, stop)
+            yield first, stop, self.select(slice(start, end))
+            first, start = stop, end
+
+    def _slice_start(self, nu, t) -> int:
+        """The first row of slice t or a later one."""
+        ts = self.timestamp
+        # ts // nu is the exact floor of ts / nu, and t * nu the double
+        # nearest t nu, so every row before t * nu lies in an earlier slice;
+        # so may rows just past it when t * nu rounded down.  Each step skips
+        # one timestamp's rows, which share a slice.
+        row = int(np.searchsorted(ts, t * nu))
+        while row < len(ts) and ts[row] // nu < t:
+            row = int(np.searchsorted(ts, ts[row], side="right"))
+        return row
+
     def block_ids(self):
         """(ids, counts): the block ids every row covers, row after row, and
         how many belong to each row."""
@@ -111,13 +172,16 @@ class Trace:
         ids += np.repeat(first - starts, counts)
         return ids, counts
 
-    def blocks_by_slice(self, nu, T):
-        """(ids, bounds): the ids of block_ids(), and T + 1 positions in them
-        such that slice t's ids are ids[bounds[t]:bounds[t + 1]].  Rows are
-        in time order, so each slice's ids form one run."""
-        ids, counts = self.block_ids()
-        bounds = np.searchsorted(np.repeat(self.slots(nu), counts), np.arange(T + 1))
-        return ids, bounds.tolist()
+
+def distinct(ids) -> np.ndarray:
+    """The distinct values of an integer array in ascending order, as
+    np.unique gives them; numpy 2's np.unique hashes, which is several times
+    slower than this sort on block ids."""
+    ids = np.sort(ids)
+    keep = np.empty(len(ids), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 @dataclass(frozen=True)
@@ -159,16 +223,22 @@ class BinningConfig:
         return np.searchsorted(np.asarray(starts, dtype=np.int64), offsets,
                                side="right")
 
-    def slice_counts(self, trace, T) -> np.ndarray:
-        """T x M histogram of the rows of trace, whose slices lie below T."""
-        slot = trace.slots(self.nu)
+    def slice_counts(self, trace, first, stop):
+        """(X, ids, bounds) for the rows of trace, whose slices lie in
+        [first, stop): X is their (stop - first) x M histogram, ids the ids
+        of trace.block_ids(), and slice first + i's ids are
+        ids[bounds[i]:bounds[i + 1]] (the rows are in time order, so each
+        slice's ids form one run)."""
+        slot = trace.slots(self.nu) - first
+        ids, counts = trace.block_ids()
+        block_slot = np.repeat(slot, counts)
         if self.count_per_block:
-            ids, counts = trace.block_ids()
-            slot, bins = np.repeat(slot, counts), self.bins_of(ids * self.block_size)
+            cell = block_slot * self.M + self.bins_of(ids * self.block_size)
         else:
-            bins = self.bins_of(trace.offset)
-        return np.bincount(slot * self.M + bins,
-                           minlength=T * self.M).reshape(T, self.M)
+            cell = slot * self.M + self.bins_of(trace.offset)
+        X = np.bincount(cell, minlength=(stop - first) * self.M).reshape(stop - first, self.M)
+        bounds = np.searchsorted(block_slot, np.arange(stop - first + 1))
+        return X, ids, bounds.tolist()
 
 
 @dataclass
@@ -213,6 +283,9 @@ _WRITE_OPS = {"write", "w"}
 _OP_WIDTH = 8
 
 
+_COLUMN_DTYPES = (np.float64, bool, np.int64, np.int64)
+
+
 def _fast_dtype(timestamp_type):
     return np.dtype([("timestamp", timestamp_type), ("op", f"U{_OP_WIDTH}"),
                      ("offset", "i8"), ("size", "i8")])
@@ -221,43 +294,100 @@ def _fast_dtype(timestamp_type):
 def parse_trace(byte_stream, format_id="msr", block_size=DEFAULT_BLOCK_SIZE) -> Trace:
     """Parse a CSV trace into a time-sorted Trace.
 
-    byte_stream may be a path or an open text/binary file.  Timestamps are
+    byte_stream may be a path or a seekable open text/binary file; binary
+    input must be UTF-8.  It is read in chunks of whole lines, about
+    CHUNK_BYTES each, parsed straight into the columns.  Timestamps are
     rebased to seconds since the first event; equal timestamps keep file
     order.  Write events are retained and flagged; downstream read-cache
-    paths filter them out.  A malformed row raises TraceParseError naming
-    its line.
+    paths filter them out.  A malformed row, or a line that is not UTF-8,
+    raises TraceParseError naming its line.
     """
     if format_id not in _FORMATS:
         raise TraceParseError(f"unknown trace format {format_id!r}")
-    fmt = _FORMATS[format_id]
-    text = _read_text(byte_stream)
-    # one vectorised pass, straight from the file when there is one; the
-    # row-by-row reader runs only on input that pass rejects, to name the bad
-    # line or to read what loadtxt cannot (quoting and NULs need csv)
-    path = byte_stream if isinstance(byte_stream, (str, Path)) else None
-    fast = '"' not in text and "\0" not in text and _parse_columns(text, path, fmt["cols"])
-    ts, is_read, offset, size = fast or _parse_rows(text, fmt["cols"])
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    return Trace((ts - ts[0]) * fmt["tick"], is_read[order], offset[order],
-                 size[order], block_size)
+    cols = _FORMATS[format_id]["cols"]
+    opened = (open(byte_stream, "rb") if isinstance(byte_stream, (str, Path))
+              else nullcontext(byte_stream))
+    with opened as fh:
+        # a row takes at least one line, so the line count sizes the columns
+        capacity = _count_lines(fh)
+        columns = [np.empty(capacity, dtype) for dtype in _COLUMN_DTYPES]
+        n, ordered, line = 0, True, 1
+        for data in _chunks(fh):
+            text = _decoded(data, line)
+            lines = text.split("\n")
+            # one vectorised pass per chunk; the row reader runs only on a
+            # chunk that pass rejects, to name the bad line or to read what
+            # loadtxt cannot (quoting and NULs need csv)
+            fast = '"' not in text and "\0" not in text and _parse_columns(lines, cols)
+            parts = fast or _parse_rows(text, cols, line)
+            line += len(lines) - 1
+            ts = parts[0]
+            if not len(ts):
+                continue
+            ordered = (ordered and not (n and columns[0][n - 1] > ts[0])
+                       and bool((ts[1:] >= ts[:-1]).all()))
+            if n + len(ts) > len(columns[0]):  # a lone \r ends a row too
+                for column in columns:
+                    column.resize(n + len(ts), refcheck=False)
+            for column, part in zip(columns, parts):
+                column[n:n + len(ts)] = part
+            n += len(ts)
+    if not n:
+        raise TraceParseError("empty trace")
+    for column in columns:
+        column.resize(n, refcheck=False)
+    if not ordered:
+        order = np.argsort(columns[0], kind="stable")
+        for column in columns:
+            column[:] = column[order]
+    ts = columns[0]
+    ts -= ts[0]
+    ts *= _FORMATS[format_id]["tick"]
+    return Trace(*columns, block_size)
 
 
-def _read_text(byte_stream) -> str:
-    if isinstance(byte_stream, (str, Path)):
-        with open(byte_stream, "r", newline="") as fh:
-            return fh.read()
-    if isinstance(byte_stream, (bytes, bytearray)):
-        return byte_stream.decode()
-    raw = byte_stream.read()
-    return raw.decode() if isinstance(raw, bytes) else raw
+def _count_lines(fh) -> int:
+    """The line ends in the rest of fh plus one, leaving fh where it was."""
+    start = fh.tell()
+    lines = 1
+    while data := _utf8(fh.read(CHUNK_BYTES)):
+        lines += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")))
+    fh.seek(start)
+    return lines
 
 
-def _parse_columns(text, path, cols):
+def _chunks(fh):
+    """Successive runs of whole lines of fh, about CHUNK_BYTES each, as
+    bytes."""
+    while data := _utf8(fh.read(CHUNK_BYTES)):
+        data += _utf8(fh.readline())
+        # a quoted field may hold a line break; keep its row in one chunk
+        while b'"' in data and data.count(b'"') % 2 and (more := fh.readline()):
+            data += _utf8(more)
+        yield data
+
+
+def _utf8(data) -> bytes:
+    """Text read from a text file, as UTF-8 bytes; bytes as they are."""
+    return data.encode() if isinstance(data, str) else data
+
+
+def _decoded(data, line) -> str:
+    """UTF-8 data, starting on the given line, as text; a byte that is not
+    UTF-8 raises TraceParseError naming its line."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        bad = line + data.count(b"\n", 0, exc.start)
+        raise TraceParseError(f"line {bad}: byte 0x{data[exc.start]:02x} is not "
+                              f"UTF-8 text") from None
+
+
+def _parse_columns(lines, cols):
     """(timestamp, is_read, offset, size) in file order from one np.loadtxt
-    pass over path (or text), or None when some row needs the row reader: a
-    cell loadtxt cannot convert, an unknown or possibly cut op, a bad value,
-    or no rows."""
+    pass over a list of lines (which it parses faster than a file object),
+    or None when some row needs the row reader: a cell loadtxt cannot
+    convert, an unknown or possibly cut op, a bad value, or no rows."""
     # integer timestamps (FILETIME ticks) parse several times faster as
     # integers, and convert to the same doubles
     for timestamp_type in ("i8", "f8"):
@@ -268,7 +398,7 @@ def _parse_columns(text, path, cols):
                 # numpy 1.23-1.26 parse a float cell into an integer field by
                 # truncating it, with only this warning
                 warnings.simplefilter("error", DeprecationWarning)
-                rows = np.loadtxt(path or io.StringIO(text),
+                rows = np.loadtxt(lines,
                                   dtype=_fast_dtype(timestamp_type),
                                   delimiter=",", comments=None, usecols=cols,
                                   ndmin=1)
@@ -305,16 +435,17 @@ def _read_flags(op):
     return is_read
 
 
-def _parse_rows(text, cols):
+def _parse_rows(text, cols, first_line):
     """(timestamp, is_read, offset, size) in file order, one csv row at a
-    time; raises TraceParseError naming the first bad line."""
+    time, with text starting on line first_line; raises TraceParseError
+    naming the first bad line."""
     t_col, op_col, off_col, sz_col = cols
     ncols = max(cols) + 1
     rows = []
-    lineno = 0
+    lineno = first_line - 1
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(reader, start=first_line):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < ncols:
@@ -339,11 +470,8 @@ def _parse_rows(text, cols):
             rows.append((ts, op_raw in _READ_OPS, offset, size))
     except csv.Error as exc:
         raise TraceParseError(f"line {lineno + 1}: {exc}") from None
-    if not rows:
-        raise TraceParseError("empty trace")
-    ts, is_read, offset, size = zip(*rows)
-    return (np.array(ts, dtype=np.float64), np.array(is_read, dtype=bool),
-            np.array(offset, dtype=np.int64), np.array(size, dtype=np.int64))
+    return tuple(np.array(column, dtype=dtype) for column, dtype
+                 in zip(zip(*rows) if rows else ((),) * 4, _COLUMN_DTYPES))
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +484,20 @@ def infer_lba_range(trace: Trace, nu=None, fraction=None):
     fraction) of the T read slices count, the slices a fit learns from, and
     there must be some; later offsets outside the range clamp to edge bins.
     """
-    pool = trace.reads()
-    if not len(pool):
+    if not trace.is_read.any():
         raise TraceParseError("no reads to infer an address range from")
-    offsets = pool.offset
+    learn = trace
     if nu is not None and fraction is not None:
-        cutoff = learn_cut(pool.slice_count(nu), fraction) * nu
-        learn = pool.timestamp < cutoff
-        if not learn.any():
-            raise ConfigError("the learning part of the trace holds no reads")
-        offsets = offsets[learn]
-    return int(offsets.min()), int(offsets.max()) + 1
+        cutoff = learn_cut(trace.read_slice_count(nu), fraction) * nu
+        learn = trace.select(slice(int(np.searchsorted(trace.timestamp, cutoff))))
+    lo, hi = _I8_MAX, -1
+    for rows in learn.row_groups():
+        offsets = rows.offset[rows.is_read]
+        if len(offsets):
+            lo, hi = min(lo, int(offsets.min())), max(hi, int(offsets.max()))
+    if hi < 0:
+        raise ConfigError("the learning part of the trace holds no reads")
+    return lo, hi + 1
 
 
 def binning_from_events(trace: Trace, M, nu, fraction=None,
@@ -395,11 +526,13 @@ def aggregate(trace: Trace, config: BinningConfig) -> CountVectorSequence:
     covered.
     """
     check_block_size(trace, config)
-    reads = trace.reads()
-    T = reads.slice_count(config.nu)
-    ids, bounds = reads.blocks_by_slice(config.nu, T)
-    A = [np.unique(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return CountVectorSequence(config.slice_counts(reads, T), A, config)
+    T = trace.read_slice_count(config.nu)
+    X = np.zeros((T, config.M), dtype=np.int64)
+    A = []
+    for first, stop, rows in trace.slice_groups(config.nu, T):
+        X[first:stop], ids, bounds = config.slice_counts(rows.reads(), first, stop)
+        A += [distinct(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return CountVectorSequence(X, A, config)
 
 
 def learn_cut(T, fraction) -> int:

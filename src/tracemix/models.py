@@ -140,30 +140,37 @@ class SMVPParams:
         return self.Lambda.shape[0]
 
 
-def sample_mvp(params: MVPParams, rng) -> np.ndarray:
+def sample_mvp(params: MVPParams, rng, size=None) -> np.ndarray:
     """Draw one correlated count vector: X_j = sum_l Y_jl with Y symmetric.
 
-    E(X) = Lambda @ 1 and Cov(X_j, X_l) = lambda_jl for j != l.
+    E(X) = Lambda @ 1 and Cov(X_j, X_l) = lambda_jl for j != l.  With
+    size=n, n draws as the rows of an (n, M) array, the same draws as n
+    calls in turn.
     """
-    m = params.dim
-    iu = np.triu_indices(m)
-    y = rng.poisson(params.Lambda[iu])
-    ymat = np.zeros((m, m), dtype=np.int64)
-    ymat[iu] = y
-    ymat = ymat + ymat.T - np.diag(np.diag(ymat))
-    return ymat.sum(axis=1)
+    j, l = np.triu_indices(params.dim)
+    return _row_sums(params.Lambda[j, l], j, l, params.dim, rng, size)
 
 
-def sample_smvp(params: SMVPParams, rng) -> np.ndarray:
-    """Draw one sparse count vector: MVP on active dims, noise elsewhere."""
-    act = params.b.astype(bool)
-    x = np.zeros(params.dim, dtype=np.int64)
-    if act.any():
-        sub = params.Lambda[np.ix_(act, act)]
-        x[act] = sample_mvp(MVPParams(sub), rng)
-    if (~act).any():
-        x[~act] = rng.poisson(params.lambda_hat[~act])
-    return x
+def sample_smvp(params: SMVPParams, rng, size=None) -> np.ndarray:
+    """Draw one sparse count vector: MVP on active dims, noise elsewhere.
+    size works as in sample_mvp."""
+    active, noise = np.flatnonzero(params.b), np.flatnonzero(params.b == 0)
+    j, l = (active[k] for k in np.triu_indices(len(active)))
+    rates = np.concatenate([params.Lambda[j, l], params.lambda_hat[noise]])
+    return _row_sums(rates, np.concatenate([j, noise]), np.concatenate([l, noise]),
+                     params.dim, rng, size)
+
+
+def _row_sums(rates, j, l, dim, rng, size):
+    """Row sums of symmetric count matrices whose entries (j[p], l[p]) and
+    (l[p], j[p]) hold one Poisson(rates[p]) draw, all other entries 0.  One
+    Poisson call over rates makes each matrix, so size=n draws the rows of
+    an (n, dim) array exactly as n calls in turn would."""
+    to_rows = np.zeros((len(rates), dim), dtype=np.int64)
+    to_rows[np.arange(len(rates)), j] = 1
+    to_rows[np.arange(len(rates)), l] = 1
+    y = rng.poisson(rates, size=None if size is None else (size, len(rates)))
+    return y @ to_rows
 
 
 def _log_f(s, n, log_fact_sum, shape, rate):

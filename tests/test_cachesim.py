@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tracemix import gibbs, synth
+from tracemix import gibbs, ingest, synth
 from tracemix.cachesim import (LRUCache, capacity_from_trace,
                                simulate_baseline, simulate_preloading)
 from tracemix.errors import ConfigError
-from tracemix.ingest import BinningConfig, infer_lba_range
+from tracemix.ingest import BinningConfig, aggregate, infer_lba_range
 from tracemix.models import Hyperparams
 from tracemix.predict import AccessMap, FittedModel
 
@@ -225,3 +225,44 @@ def test_report_summary_and_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "hits,misses,hitrate,preloads,wall_clock"
     assert len(lines) == 2
+
+
+def test_results_do_not_depend_on_the_group_size(monkeypatch):
+    # slices of 0 to 40 rows, multi-block reads, writes past the last read:
+    # groups of 1, 2, 7 and 50 rows cut the trace in other places (a slice
+    # larger than a group becomes a group of its own) and must give what one
+    # group gives
+    rng = np.random.default_rng(13)
+    nu, rows = 10.0, []
+    for s in range(30):
+        for _ in range(int(rng.choice([0, 1, 3, 40]))):
+            op = "read" if rng.random() < 0.8 else "write"
+            rows.append((s * nu + float(rng.uniform(0, nu)), op,
+                         int(rng.integers(0, 300)) * 2048, int(rng.integers(1, 4)) * 4096))
+    rows += [(300.0 + t, "write", 4096 * t, 4096) for t in range(25)]
+    trace = trace_of(rows)
+    config = BinningConfig(M=3, lba_lo=0, lba_hi=300 * 2048, nu=nu)
+    K = 3
+    model = FittedModel(K=K, pi=np.full((K, K), 1 / K), pi0=np.full(K, 1 / K),
+                        mu=np.array([[9.0, 1.0, 1.0], [1.0, 9.0, 1.0], [1.0, 1.0, 9.0]]),
+                        Lambda=np.zeros((K, 3, 3)), lambda_hat=np.zeros(3),
+                        b=np.ones((K, 3), dtype=np.int8), hp=Hyperparams(),
+                        kind=gibbs.HMM_DP_MIP)
+    amap = AccessMap({k: np.arange(100 * k, 100 * k + 60, dtype=np.int64) for k in range(K)})
+
+    def run():
+        seq = aggregate(trace, config)
+        log = []
+        pre = simulate_preloading(trace, model, amap, config, 30,
+                                  record_outcomes=True, preload_log=log)
+        return (seq.X.tolist(), [a.tolist() for a in seq.A],
+                infer_lba_range(trace, nu=nu, fraction=0.5),
+                trace.read_slice_count(nu), capacity_from_trace(trace, 0.3),
+                simulate_baseline(trace, 30, record_outcomes=True).outcomes,
+                pre.outcomes, pre.preload_volumes, [a.tolist() for a in log])
+
+    whole = run()
+    assert len(whole[0]) == whole[3] == 30 and len(whole[7]) == 33
+    for rows_per_group in (1, 2, 7, 50):
+        monkeypatch.setattr(ingest, "GROUP_ROWS", rows_per_group)
+        assert run() == whole

@@ -173,6 +173,17 @@ def test_simulate_without_operating_reads_is_a_config_error(tmp_path, capsys):
     assert "config error" in out.err and "inf" not in out.out
 
 
+def test_a_byte_that_is_not_utf8_is_a_trace_error_naming_its_line(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    rows = [f"{t}.0,read,{t * 4096},4096\n".encode() for t in range(0, 120, 7)]
+    rows[2] = b"14.0,read,\xff,4096\n"
+    trace.write_bytes(b"".join(rows))
+    code = cli.main(["aggregate", "--format", "plain", "--trace", str(trace),
+                     "--out", str(tmp_path / "counts.npz")])
+    assert code == cli.EXIT_PARSE
+    assert "trace error: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
 def test_gen_trace_default_spec(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert cli.main(["gen-trace", "--out", str(out)]) == cli.EXIT_OK

@@ -158,3 +158,49 @@ def test_aggregate_needs_two_read_slices(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "at least 2 slices" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("secs", ["0", "-30", "nan", "inf"])
+def test_aggregate_rejects_a_slice_length_that_is_not_finite_and_positive(
+        tmp_path, capsys, secs):
+    trace, out = tmp_path / "trace.csv", tmp_path / "counts.npz"
+    trace.write_text("".join(f"{t}.0,read,{t * 4096},4096\n" for t in range(0, 120, 7)))
+    code = cli.main(["aggregate", "--format", "plain", "--trace", str(trace),
+                     "--out", str(out), f"--slice-secs={secs}"])
+    assert code == cli.EXIT_CONFIG
+    assert "config error: slice_secs must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the model and the artifact below are binned at 30 s slices, 4096-byte
+# blocks and M bins
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+@pytest.mark.parametrize("key, flag, value", [
+    ("slice_secs", "--slice-secs", 5.0), ("bins", "--bins", 3),
+    ("block_size", "--block-size", 512)])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_binning_settings_must_match_the_model_or_artifact(
+        tmp_path, capsys, command, key, flag, value, source):
+    M = 2
+    model, artifact, trace = tmp_path / "m.npz", tmp_path / "counts.npz", tmp_path / "trace.csv"
+    save_one_cluster_model(model, M=M)
+    save_counts(artifact, M=M)
+    trace.write_text("".join(f"{t}.0,read,{t * 4096},4096\n" for t in range(0, 120, 7)))
+    argv = {"simulate": ["simulate", "--format", "plain", "--trace", str(trace),
+                         "--model", str(model), "--out-prefix", str(tmp_path / "sim")],
+            "eval": ["eval", "--artifact", str(artifact), "--models", str(model),
+                     "--out", str(tmp_path / "eval.csv")]}[command]
+    # the values the files hold are accepted either way
+    held = {"slice_secs": 30.0, "bins": M, "block_size": 4096}[key]
+    for given, want in ((held, cli.EXIT_OK), (value, cli.EXIT_CONFIG)):
+        if source == "flag":
+            options = [flag, str(given)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: given}))
+            options = ["--config", str(config)]
+        code = cli.main(options + argv if source == "file" else argv + options)
+        err = capsys.readouterr().err
+        assert code == want, err
+    assert "config error" in err and key in err
+    assert str(value) in err and str(held) in err

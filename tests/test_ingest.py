@@ -1,11 +1,12 @@
 import io
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tracemix import ingest, synth
+from tracemix import cachesim, ingest, synth
 from tracemix.errors import TraceParseError
 from tracemix.ingest import (BinningConfig, CountVectorSequence, TraceEvent,
                              aggregate, binning_from_events, blocks_covered,
@@ -126,12 +127,55 @@ PARITY_CASES = {
     "msr fractional ticks": ("msr", ["128166372003061629.5,usr,0,Read,0,4096,1",
                                      "128166372003061629,usr,0,Write,0,4096,1"]),
     "msr empty op": ("msr", ["128166372003061629,usr,0,,0,4096,1"]),
+    "msr quoted hostname holding a line break": ("msr", [
+        '128166372003061629,"a hostname that runs past one chunk',
+        'and on",0,Read,4096,4096,1', "128166372013061629,usr,0,Write,0,4096,1"]),
+    "rows ended by a lone carriage return": ("plain", [
+        "0.0,read,0,4096\r1.0,read,4096,4096\r2.0,write,0,4096"]),
+    # chunk boundaries, at SMALL_CHUNK bytes per chunk
+    "a chunk of blank lines only": ("plain", ["0.0,read,0,4096"] + [""] * 90
+                                    + ["1.0,read,4096,4096"]),
+    "integer ticks, then float timestamps in a later chunk": ("msr", [
+        f"1281663720030616{i:02d},usr,0,Read,{i * 4096},4096,1" for i in range(6)] + [
+        f"1281663720030616{i:02d}.5,usr,0,Write,{i * 4096},4096,1" for i in range(6, 9)]),
+    "a bad row just after a chunk boundary": ("plain", [
+        "0.0,read,0,4096", "0.5,read,0,4096", "1.0,read,0,4096",
+        "1.5,read,zzz,4096", "2.0,read,0,4096"]),
 }
+
+# Bytes read per chunk in the small-chunk tests: the 16-byte rows of the
+# bad-row case above fall in chunks of three lines.
+SMALL_CHUNK = 40
 
 
 @pytest.mark.parametrize("case", sorted(PARITY_CASES))
 def test_parse_matches_reference_parser(case):
     check_parity(*PARITY_CASES[case])
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_parse_matches_reference_in_small_chunks(case, monkeypatch):
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", SMALL_CHUNK)
+    check_parity(*PARITY_CASES[case])
+
+
+def test_bad_row_after_a_chunk_boundary_is_named(monkeypatch):
+    # the table's bad-row case really starts a chunk
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", SMALL_CHUNK)
+    text = "".join(line + "\n" for line in PARITY_CASES[
+        "a bad row just after a chunk boundary"][1])
+    assert [chunk.count(b"\n") for chunk in ingest._chunks(io.StringIO(text))] == [3, 2]
+    with pytest.raises(TraceParseError, match="^line 4: "):
+        parse_trace(io.StringIO(text), format_id="plain")
+
+
+@pytest.mark.parametrize("chunk", [SMALL_CHUNK, 1 << 20])
+def test_parse_names_the_line_of_a_byte_that_is_not_utf8(chunk, monkeypatch):
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", chunk)
+    rows = [f"{t}.0,read,{t * 4096},4096\n".encode() for t in range(9)]
+    rows[6] = b"6.0,read,\xff,4096\n"
+    with pytest.raises(TraceParseError, match="^line 7: byte 0xff is not UTF-8"):
+        parse_trace(io.BytesIO(b"".join(rows)), format_id="plain")
 
 
 def check_parity(fmt, lines):
@@ -188,8 +232,17 @@ def test_parse_matches_reference_under_numpy_1_24_loadtxt(case, monkeypatch):
         check_parity(*PARITY_CASES[case])
 
 
-def test_parse_matches_reference_on_a_file(tmp_path):
-    # a large-ish MSR file through the path-reading branch, with CRLF endings
+def test_parse_matches_reference_on_a_file(tmp_path, monkeypatch):
+    check_crlf_file(tmp_path, monkeypatch)
+
+
+def test_parse_matches_reference_on_a_file_in_small_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 200)  # about four rows
+    check_crlf_file(tmp_path, monkeypatch)
+
+
+def check_crlf_file(tmp_path, monkeypatch):
+    # a large-ish MSR file read from its path, with CRLF endings
     rng = np.random.default_rng(5)
     n = 3000
     ticks = 128166372000000000 + rng.integers(0, 3 * 10**9, size=n)
@@ -201,9 +254,11 @@ def test_parse_matches_reference_on_a_file(tmp_path):
     path.write_bytes("".join(
         f"{t},srv,0,{o},{off},{sz},{i}\r\n"
         for i, (t, o, off, sz) in enumerate(zip(ticks, ops, offsets, sizes))).encode())
+    # every chunk takes the vectorised pass
+    monkeypatch.setattr(ingest, "_parse_rows",
+                        lambda *args: pytest.fail("the row reader ran"))
     trace = parse_trace(path, format_id="msr", block_size=4096)
     assert list(trace) == oracles.reference_parse_trace(path, format_id="msr")
-    assert ingest._parse_columns(path.read_text(), path, (0, 3, 4, 5)) is not None
 
 
 @pytest.mark.parametrize("row, message", [
@@ -264,6 +319,63 @@ def test_bins_of_matches_bin_of(M, lo, hi):
                               np.arange(lo - 3, min(hi + 3, lo + 300)),
                               [0, 2**62]])
     assert c.bins_of(offsets).tolist() == [c.bin_of(o) for o in offsets.tolist()]
+
+
+def write_pool_trace(path, slices, rng):
+    """An MSR-format trace in time order: 300 requests per 30 s slice, reads
+    and multi-block writes, on blocks drawn from a pool that does not grow
+    with the trace."""
+    rows = slices * 300
+    ticks = 128166372000000000 + np.arange(rows) * (30 * 10**7 // 300)
+    ops = rng.choice(["Read", "Write"], size=rows, p=[0.75, 0.25])
+    blocks = rng.integers(0, 2000, size=rows)
+    sizes = rng.integers(1, 5, size=rows) * 4096
+    path.write_text("".join(f"{t},usr,0,{op},{b * 4096},{sz},100\n" for t, op, b, sz
+                            in zip(ticks.tolist(), ops, blocks.tolist(), sizes.tolist())))
+
+
+def test_ingest_transients_do_not_grow_with_the_trace(tmp_path, monkeypatch):
+    # parse, binning, aggregate and footprint on N and 4N rows: their peak
+    # above what they keep (the columns and the count vectors and access
+    # sets) is set by the chunk and group sizes, not by the trace
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 1 << 16)
+    monkeypatch.setattr(ingest, "GROUP_ROWS", 1 << 12)
+    rng = np.random.default_rng(8)
+    transient = []
+    for slices in (60, 240):
+        path = tmp_path / f"trace{slices}.csv"
+        write_pool_trace(path, slices, rng)
+        tracemalloc.start()
+        try:
+            trace = parse_trace(path, format_id="msr")
+            seq = aggregate(trace, binning_from_events(trace, M=10, nu=30.0, fraction=0.5))
+            cachesim.capacity_from_trace(trace, 0.05)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == slices * 300 and len(seq) == slices
+        transient.append(peak - held)
+    assert transient[1] < 1.2 * transient[0], transient
+
+
+@pytest.mark.parametrize("rows_per_group", [1, 3, 16, 1000])
+def test_slice_groups_cut_where_floor_division_cuts(rows_per_group, monkeypatch):
+    # 0.1 s slices: t * 0.1 rounds both ways against the timestamps near
+    # it (1.0 // 0.1 is 9, 0.3 // 0.1 is 2), and runs of equal timestamps
+    # sit on the boundaries
+    monkeypatch.setattr(ingest, "GROUP_ROWS", rows_per_group)
+    ts = np.sort(np.concatenate([np.arange(60) * 0.1, np.arange(60) / 10,
+                                 np.repeat([0.3, 1.0, 2.5], 5), [7.5]]))
+    trace = trace_of([(t, "read", 0, 1) for t in ts.tolist()])
+    slots = (ts // 0.1).astype(int)
+    T = 40
+    groups = list(trace.slice_groups(0.1, T))
+    assert [g[0] for g in groups[1:]] == [g[1] for g in groups[:-1]]
+    assert groups[0][0] == 0 and groups[-1][1] == T
+    kept = np.concatenate([rows.timestamp for _, _, rows in groups])
+    assert np.array_equal(kept, ts[slots < T])
+    for first, stop, rows in groups:
+        assert ((first <= rows.slots(0.1)) & (rows.slots(0.1) < stop)).all()
 
 
 def test_blocks_covered_spans():

@@ -33,7 +33,7 @@ def test_sample_mvp_zero_rates():
 def test_sample_mvp_diagonal_is_independent():
     rng = np.random.default_rng(1)
     params = MVPParams(np.diag([2.0, 5.0]))
-    draws = np.array([sample_mvp(params, rng) for _ in range(20000)])
+    draws = sample_mvp(params, rng, size=20000)
     cov = np.cov(draws.T)
     assert abs(cov[0, 1]) < 4 * np.sqrt(2.0 * 5.0 / 20000) * 3
 
@@ -44,7 +44,7 @@ def test_sample_mvp_moments():
     lam = np.array([[1.0, 2.0], [2.0, 3.0]])
     params = MVPParams(lam)
     n = 100_000
-    draws = np.array([sample_mvp(params, rng) for _ in range(n)])
+    draws = sample_mvp(params, rng, size=n)
     mean = draws.mean(axis=0)
     expect = lam.sum(axis=1)  # (3, 5)
     se_mean = np.sqrt(draws.var(axis=0) / n)
@@ -60,15 +60,29 @@ def test_sample_smvp_all_active_matches_mvp():
     n = 100_000
     rng_a = np.random.default_rng(3)
     rng_b = np.random.default_rng(4)
-    d_mvp = np.array([sample_mvp(MVPParams(lam), rng_a) for _ in range(n)])
+    d_mvp = sample_mvp(MVPParams(lam), rng_a, size=n)
     smvp = SMVPParams(lam, np.zeros(2), np.ones(2, dtype=np.int8))
-    d_smvp = np.array([sample_smvp(smvp, rng_b) for _ in range(n)])
+    d_smvp = sample_smvp(smvp, rng_b, size=n)
     # two-sample z-tests on the summary statistics at alpha=0.01 (|z| < 2.58)
     for stat in (lambda d: d[:, 0], lambda d: d[:, 1],
                  lambda d: d[:, 0] * d[:, 1]):
         a, b = stat(d_mvp).astype(float), stat(d_smvp).astype(float)
         z = (a.mean() - b.mean()) / np.sqrt(a.var() / n + b.var() / n)
         assert abs(z) < 2.58
+
+
+@pytest.mark.parametrize("b", [[1, 1, 0], [0, 1, 0], [1, 1, 1], [0, 0, 0]])
+def test_batched_draws_equal_sequential_draws(b):
+    lam = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, 0.0], [0.2, 0.0, 3.0]])
+    smvp = SMVPParams(lam, np.array([0.1, 0.0, 0.4]), np.array(b, dtype=np.int8))
+    for sample, params in ((sample_mvp, MVPParams(lam)), (sample_smvp, smvp)):
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        one_by_one = np.array([sample(params, rng_a) for _ in range(50)])
+        batch = sample(params, rng_b, size=50)
+        assert batch.dtype == one_by_one.dtype == np.int64
+        assert np.array_equal(batch, one_by_one)
+        # the generators are left in the same state
+        assert rng_a.random() == rng_b.random()
 
 
 def test_sample_smvp_all_inactive_zero_noise():
@@ -85,7 +99,7 @@ def test_sample_smvp_inactive_dim_is_noise():
     params = SMVPParams(lam, np.array([0.0, 0.0, 0.1]),
                         np.array([1, 1, 0], dtype=np.int8))
     n = 100_000
-    draws = np.array([sample_smvp(params, rng) for _ in range(n)])
+    draws = sample_smvp(params, rng, size=n)
     m3 = draws[:, 2].mean()
     se = draws[:, 2].std() / np.sqrt(n)
     assert abs(m3 - 0.1) < 3 * se
