@@ -2,9 +2,9 @@
 
 Every subcommand is deterministic given its config and seed.  Defaults follow
 the usual desk setup (10 bins, 30 s slices, 50% split, 5% cache) and can be
-overridden by a JSON config file and/or flags; explicit flags win.  eval and
-simulate take the bins, slice length and block size of the artifact or model
-they read, and refuse an explicit setting that differs.
+overridden by a JSON config file and/or flags; explicit flags win.  fit, eval
+and simulate take the bins, slice length and block size of the artifact or
+model they read, and refuse an explicit setting that differs.
 """
 
 import argparse
@@ -105,10 +105,10 @@ def cmd_aggregate(args):
 
 
 def cmd_fit(args):
-    cfg = _merge_config(args)
+    seq = ingest.load_artifact(args.artifact)
+    cfg = _merge_config(args, (args.artifact, seq.config))
     if cfg["chains"] < 1:
         raise ConfigError("chains must be >= 1")
-    seq = ingest.load_artifact(args.artifact)
     learn, _ = ingest.split_learn_operate(seq, cfg["split"])
     hp = Hyperparams()
     best = None

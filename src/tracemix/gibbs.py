@@ -30,6 +30,8 @@ the noise pools or a latent pair, is a sum of _log_gain terms, the one
 Poisson-Gamma predictive gain.
 """
 
+import collections
+import functools
 import itertools
 import math
 import time
@@ -115,6 +117,8 @@ class GibbsState:
     S[k] sums the members' Y matrices, LF[k] the matching log(Y!) terms;
     S_hat/n_hat/LF_hat pool the diagonal counts of inactive dimensions across
     all clusters.  A state is single-owner: updates mutate it in place.
+    moves tallies the split-merge proposals by outcome (MOVE_COUNTS) for the
+    diagnostics; it is not part of the sampled state.
     """
 
     def __init__(self, kind, hp, X):
@@ -136,6 +140,7 @@ class GibbsState:
         self.n_hat = np.zeros(M, dtype=np.int64)
         self.LF_hat = np.zeros(M, dtype=float)
         self.m = np.zeros(0, dtype=np.int64)
+        self.moves = collections.Counter()
 
     @property
     def T(self):
@@ -163,6 +168,7 @@ class GibbsState:
         out.n_hat = self.n_hat.copy()
         out.LF_hat = self.LF_hat.copy()
         out.m = self.m.copy()
+        out.moves = collections.Counter()
         return out
 
 
@@ -218,11 +224,20 @@ def init_state(data, kind, hp, rng):
 # ---------------------------------------------------------------------------
 # small internals
 
+@functools.lru_cache(maxsize=16)
+def _fixed_mask(diagonal, M):
+    """The diagonal or the upper triangle (incl. diagonal) of an M x M
+    matrix, built once and shared read-only."""
+    mask = np.eye(M, dtype=bool) if diagonal else np.triu(np.ones((M, M), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def _pair_mask(kind, b_row, M):
     """Upper-triangular (incl. diagonal) mask of the collapsed factors in use."""
     if is_diagonal(kind):
-        return np.eye(M, dtype=bool)
-    triu = np.triu(np.ones((M, M), dtype=bool))
+        return _fixed_mask(True, M)
+    triu = _fixed_mask(False, M)
     if is_sparse(kind):
         act = b_row.astype(bool)
         return triu & np.outer(act, act)
@@ -326,12 +341,12 @@ def _project_batch(Yt, act):
     active pairs.  Returns two (R, M, M) arrays."""
     M = len(Yt)
     pair_ok = act[:, :, None] & act[:, None, :]
-    bad = ~np.eye(M, dtype=bool)[None] & ~pair_ok
+    bad = ~_fixed_mask(True, M)[None] & ~pair_ok
     moved = np.where(bad, Yt[None], 0)
     Yp = np.where(bad, 0, Yt[None])
     idx = np.arange(M)
     Yp[:, idx, idx] += moved.sum(axis=2)
-    fm = np.triu(np.ones((M, M), dtype=bool))[None] & pair_ok
+    fm = _fixed_mask(False, M)[None] & pair_ok
     return Yp, fm
 
 
@@ -652,6 +667,15 @@ def sample_m_beta(state, rng):
 # allocation probability enters the acceptance ratio; the target ratio is the
 # collapsed joint density difference.  Sparse kinds only pair clusters with
 # identical activity vectors so the latent matrices stay on-support.
+#
+# A merge is decided from the density ratio before its reverse split is
+# priced (delayed acceptance).  The price log_q is a sum of log-sigmoids, so
+# log_q <= 0, and a uniform that fails jld_cand - jld_cur fails
+# jld_cand - jld_cur + log_q too; the uniform does not depend on the launch
+# draws.  Accepting iff log_u < jld_cand - jld_cur + log_q, with the scan run
+# only when the first test passes, is therefore the same function of (u,
+# launch) as before, and the kernel is unchanged.  A split's ratio carries
+# -log_q >= 0, so no split can be decided before its scan.
 
 def _adopt(state, other):
     for name in ("Z", "Y", "K", "n_k", "S", "LF", "b", "beta", "n_trans",
@@ -665,6 +689,10 @@ def _refresh_stats(state):
 
 
 _LAUNCH_SCANS = 1
+
+# the split-merge tallies of GibbsState.moves, in their --diagnostics order;
+# merges_priced counts the merges that reached the reverse-split scan
+MOVE_COUNTS = ("splits_proposed", "splits_accepted", "merges_proposed", "merges_priced")
 
 
 def _log_sigmoid(x):
@@ -753,7 +781,11 @@ def sample_split_merge(state, rng, n_moves=10):
 
 def _one_split_merge(state, rng, jld_cur):
     """One split or merge proposal against a state of joint log density
-    jld_cur; returns the new density when accepted, else None."""
+    jld_cur; returns the new density when accepted, else None.  A merge draws
+    its uniform before pricing the reverse split and is rejected unpriced
+    when the density ratio alone fails it; this is exact because the price
+    is never positive and the uniform is independent of the scan's draws
+    (see the split-merge comment block)."""
     T = state.T
     if T < 2 or (state.K == 1 and state.n_k[0] < 2):
         return None
@@ -762,6 +794,7 @@ def _one_split_merge(state, rng, jld_cur):
     if j >= i:
         j += 1
     ki, kj = int(state.Z[i]), int(state.Z[j])
+    state.moves["splits_proposed" if ki == kj else "merges_proposed"] += 1
     if ki != kj and is_sparse(state.kind) and not np.array_equal(state.b[ki], state.b[kj]):
         return None
     mask = _pair_mask(state.kind, state.b[ki], state.M)
@@ -774,18 +807,25 @@ def _one_split_merge(state, rng, jld_cur):
         new_k = _create_cluster(cand, cand.b[ki], rng)
         cand.Z[j] = new_k
         cand.Z[order[~sides]] = new_k
-        log_q = -log_q      # the forward allocation divides the ratio
     else:
-        # propose the merge, pricing the split that would reconstruct the
-        # current pair by a dry run
-        log_q, _ = _allocation_scan(state, mask, order, i, j, rng,
-                                    actual_sides=state.Z[order] == ki)
+        # propose the merge
         cand.Z[cand.Z == kj] = ki
         _delete_cluster(cand, kj)
     _refresh_stats(cand)
     jld_cand = joint_log_density(cand)
-    if np.log(rng.random()) < jld_cand - jld_cur + log_q:
+    log_u = np.log(rng.random())
+    if ki == kj:
+        log_q = -log_q      # the forward allocation divides the ratio
+    elif log_u >= jld_cand - jld_cur:
+        return None         # log_q <= 0 cannot rescue it
+    else:
+        # price the split that would reconstruct the current pair by a dry run
+        state.moves["merges_priced"] += 1
+        log_q, _ = _allocation_scan(state, mask, order, i, j, rng,
+                                    actual_sides=state.Z[order] == ki)
+    if log_u < jld_cand - jld_cur + log_q:
         _adopt(state, cand)
+        state.moves["splits_accepted"] += ki == kj
         return jld_cand
     return None
 
@@ -860,16 +900,18 @@ class Diagnostics:
     rows: list = field(default_factory=list)   # (sweep, joint log density, K, wall clock)
     y_draws: list = field(default_factory=list)  # off-diagonal draws per sweep
     split_merge_accepted: list = field(default_factory=list)  # per sweep
+    moves: list = field(default_factory=list)  # per sweep, the MOVE_COUNTS
     partial: bool = False
 
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write("sweep,joint_log_density,K,wall_clock,y_draws,"
-                     "split_merge_accepted\n")
-            for (sweep, jld, k, wc), n_y, acc in zip(
+                     f"split_merge_accepted,{','.join(MOVE_COUNTS)}\n")
+            for (sweep, jld, k, wc), n_y, acc, moves in zip(
                     self.rows, self.y_draws, self.split_merge_accepted,
-                    strict=True):
-                fh.write(f"{sweep},{jld:.6f},{k},{wc:.3f},{n_y},{acc}\n")
+                    self.moves, strict=True):
+                fh.write(f"{sweep},{jld:.6f},{k},{wc:.3f},{n_y},{acc},"
+                         f"{','.join(map(str, moves))}\n")
 
 
 def run_gibbs(data, kind, hp=None, cfg=None):
@@ -895,12 +937,15 @@ def run_gibbs(data, kind, hp=None, cfg=None):
             for k in range(state.K):
                 for j in range(state.M):
                     sample_b(k, j, state, rng)
+        state.moves.clear()
         accepted = sample_split_merge(state, rng)
+        moves = tuple(state.moves[name] for name in MOVE_COUNTS)
         sample_m_beta(state, rng)
         elapsed = time.monotonic() - started
         diag.rows.append((sweep, joint_log_density(state), state.K, elapsed))
         diag.y_draws.append(n_y)
         diag.split_merge_accepted.append(accepted)
+        diag.moves.append(moves)
         if sweep > cfg.burn_in and (sweep - cfg.burn_in - 1) % cfg.thinning == 0:
             samples.append(state.clone())
         if elapsed > cfg.wall_clock_limit and sweep < cfg.iterations:

@@ -11,7 +11,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import BinningConfig, decode_sets, encode_sets, load_npz
+from .ingest import BinningConfig, decode_sets, distinct, encode_sets, load_npz
 from .models import (_UNIT, Hyperparams, SMVPParams, log_poisson_table,
                      mu_from_params)
 from . import gibbs
@@ -132,7 +132,7 @@ def build_access_map(Z, A) -> AccessMap:
     members = {}
     for k, acc in zip(np.asarray(Z).tolist(), A):
         members.setdefault(k, []).append(acc)
-    return AccessMap({k: np.unique(np.concatenate(m)) for k, m in members.items()})
+    return AccessMap({k: distinct(np.concatenate(m)) for k, m in members.items()})
 
 
 # ---------------------------------------------------------------------------

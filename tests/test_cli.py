@@ -108,8 +108,8 @@ def test_fit_diagnostics_count_draws_and_acceptances(tmp_path, monkeypatch):
     write_msr(trace, motif_rows(16, np.random.default_rng(3)))
     assert run("aggregate", "--trace", str(trace), "--out", str(artifact),
                "--bins", "4") == cli.EXIT_OK
-    draws, accepted = [0], []
-    real_y, real_sm = gibbs.sample_y, gibbs.sample_split_merge
+    draws, accepted, scans = [0], [], [[]]
+    real_y, real_sm, real_scan = gibbs.sample_y, gibbs.sample_split_merge, gibbs._allocation_scan
 
     def count_y(*args):
         draws[-1] += 1
@@ -118,10 +118,16 @@ def test_fit_diagnostics_count_draws_and_acceptances(tmp_path, monkeypatch):
     def count_sm(*args):
         accepted.append(real_sm(*args))
         draws.append(0)
+        scans.append([])
         return accepted[-1]
+
+    def count_scan(*args, actual_sides=None):
+        scans[-1].append(actual_sides is None)
+        return real_scan(*args, actual_sides=actual_sides)
 
     monkeypatch.setattr(gibbs, "sample_y", count_y)
     monkeypatch.setattr(gibbs, "sample_split_merge", count_sm)
+    monkeypatch.setattr(gibbs, "_allocation_scan", count_scan)
     diagnostics = tmp_path / "diag.csv"
     assert run("fit", "--artifact", str(artifact), "--out", str(tmp_path / "m.npz"),
                "--kind", "dp-mmvp", "--iters", "4", "--burn-in", "2",
@@ -130,11 +136,23 @@ def test_fit_diagnostics_count_draws_and_acceptances(tmp_path, monkeypatch):
         reader = csv.DictReader(fh)
         rows = list(reader)
     assert reader.fieldnames == ["sweep", "joint_log_density", "K", "wall_clock",
-                                 "y_draws", "split_merge_accepted"]
+                                 "y_draws", "split_merge_accepted", "splits_proposed",
+                                 "splits_accepted", "merges_proposed", "merges_priced"]
     assert [int(r["sweep"]) for r in rows] == [1, 2, 3, 4]
     assert [int(r["y_draws"]) for r in rows] == draws[:-1]
     assert [int(r["split_merge_accepted"]) for r in rows] == accepted
     assert sum(draws) > 0
+    for r, scanned in zip(rows, scans[:-1], strict=True):
+        moves = {k: int(r[k]) for k in reader.fieldnames[6:]}
+        # every split is scanned once; a merge only when it is priced
+        assert moves["splits_proposed"] + moves["merges_proposed"] == 10
+        assert moves["splits_proposed"] == sum(scanned)
+        assert moves["merges_priced"] == len(scanned) - sum(scanned)
+        assert moves["merges_priced"] <= moves["merges_proposed"]
+        assert moves["splits_accepted"] <= min(moves["splits_proposed"],
+                                               int(r["split_merge_accepted"]))
+        assert int(r["split_merge_accepted"]) - moves["splits_accepted"] \
+            <= moves["merges_priced"]
 
 
 def test_simulate_cuts_where_fit_cuts(tmp_path):

@@ -174,7 +174,7 @@ def test_aggregate_rejects_a_slice_length_that_is_not_finite_and_positive(
 
 # the model and the artifact below are binned at 30 s slices, 4096-byte
 # blocks and M bins
-@pytest.mark.parametrize("command", ["simulate", "eval"])
+@pytest.mark.parametrize("command", ["simulate", "eval", "fit"])
 @pytest.mark.parametrize("key, flag, value", [
     ("slice_secs", "--slice-secs", 5.0), ("bins", "--bins", 3),
     ("block_size", "--block-size", 512)])
@@ -189,7 +189,9 @@ def test_binning_settings_must_match_the_model_or_artifact(
     argv = {"simulate": ["simulate", "--format", "plain", "--trace", str(trace),
                          "--model", str(model), "--out-prefix", str(tmp_path / "sim")],
             "eval": ["eval", "--artifact", str(artifact), "--models", str(model),
-                     "--out", str(tmp_path / "eval.csv")]}[command]
+                     "--out", str(tmp_path / "eval.csv")],
+            "fit": ["fit", "--artifact", str(artifact), "--out", str(tmp_path / "fit.npz"),
+                    "--iters", "2", "--burn-in", "1"]}[command]
     # the values the files hold are accepted either way
     held = {"slice_secs": 30.0, "bins": M, "block_size": 4096}[key]
     for given, want in ((held, cli.EXIT_OK), (value, cli.EXIT_CONFIG)):

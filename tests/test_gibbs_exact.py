@@ -446,3 +446,50 @@ def test_beta_sums_to_one():
         gibbs.sample_m_beta(state, rng)
         assert abs(state.beta.sum() - 1.0) < 1e-12
         assert len(state.beta) == state.K + 1
+
+
+# ---------------------------------------------------------------------------
+# split-merge moves
+
+def partitions(n):
+    """Every partition of n slices as a canonical label vector (first
+    occurrences in increasing order)."""
+    if n == 0:
+        yield ()
+        return
+    for head in partitions(n - 1):
+        for k in range(max(head, default=-1) + 2):
+            yield head + (k,)
+
+
+def canonical(Z):
+    first = {}
+    return tuple(first.setdefault(int(k), len(first)) for k in Z)
+
+
+def test_split_merge_keeps_the_partition_posterior():
+    # dp-mip with diagonal Y: the posterior over the 15 partitions of four
+    # slices is enumerable, and one split-merge step from starts drawn from
+    # it must end in it.  Dropping the merge's reverse-split price moves some
+    # probabilities by about 0.1.
+    hp = Hyperparams()
+    X = np.array([[2, 0], [3, 1], [0, 4], [1, 3]])
+    Y = np.zeros((4, 2, 2), dtype=np.int64)
+    Y[:, [0, 1], [0, 1]] = X
+    parts = list(partitions(len(X)))
+    assert len(parts) == 15
+    probs = normalized([oracles.full_joint(X, z, Y, [[1, 1]] * (max(z) + 1), None, hp,
+                                           temporal=False, sparse=False, diag=True)
+                        for z in parts])
+    starts = [oracles.build_state(gibbs.DP_MIP, X, z, Y, [[1, 1]] * (max(z) + 1),
+                                  [1.0 / (max(z) + 2)] * (max(z) + 2), hp)
+              for z in parts]
+    rng = np.random.default_rng(19)
+    n = 20_000
+    counts = dict.fromkeys(parts, 0)
+    for start in rng.choice(len(parts), size=n, p=probs):
+        st = starts[start].clone()
+        gibbs._one_split_merge(st, rng, gibbs.joint_log_density(st))
+        counts[canonical(st.Z)] += 1
+    for z, p in zip(parts, probs):
+        assert counts[z] / n == pytest.approx(p, abs=TOL), z

@@ -145,6 +145,36 @@ def test_allocation_scan_of_no_slices():
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("apart, priced", [(0, True), (40, False)])
+def test_a_merge_the_density_ratio_fails_is_not_priced(monkeypatch, apart, priced):
+    # two clusters of three slices: identical counts make merges worth
+    # pricing; far-apart counts make every merge fail the density ratio
+    # alone, so no reverse split may be scanned
+    X = np.array([[5, 5]] * 3 + [[5 + apart, 5]] * 3)
+    Y = np.zeros((6, 2, 2), dtype=np.int64)
+    Y[:, [0, 1], [0, 1]] = X
+    state = oracles.build_state(gibbs.DP_MIP, X, [0, 0, 0, 1, 1, 1], Y, [[1, 1]] * 2,
+                                [0.3, 0.3, 0.4], Hyperparams())
+    calls = []
+    real = gibbs._allocation_scan
+
+    def recorded(*args, actual_sides=None):
+        # a merge prices a forced allocation
+        calls.append("split" if actual_sides is None else "merge")
+        return real(*args, actual_sides=actual_sides)
+
+    monkeypatch.setattr(gibbs, "_allocation_scan", recorded)
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        st = state.clone()
+        st.moves = state.moves      # one tally over every proposal
+        gibbs._one_split_merge(st, rng, gibbs.joint_log_density(st))
+    assert state.moves["merges_proposed"] > 20
+    assert calls.count("merge") == state.moves["merges_priced"]
+    assert calls.count("split") == state.moves["splits_proposed"]
+    assert (state.moves["merges_priced"] > 0) == priced
+
+
 @pytest.mark.parametrize("kind", [gibbs.DP_MMVP, gibbs.HMM_DP_MIP])
 def test_split_merge_carries_the_adopted_density(kind, monkeypatch):
     # each proposal must see the joint density of the state it is made from
