@@ -1,8 +1,7 @@
 """tracemix: mine block I/O traces for long-range access patterns with
 non-parametric temporal count mixtures, then preload a simulated cache."""
 
-from .models import (Hyperparams, MVPParams, SMVPParams,
-                     log_poisson_vec, mu_from_params, sample_mvp, sample_smvp)
+from .models import Hyperparams, SMVPParams, mu_from_params, sample_smvp
 from .ingest import (BinningConfig, CountVectorSequence, Trace, TraceEvent,
                      aggregate, parse_trace, split_learn_operate)
 from .gibbs import (ALL_KINDS, FitConfig, GibbsState, heldout_loglik,

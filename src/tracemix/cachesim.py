@@ -48,11 +48,6 @@ class LRUCache:
     def __contains__(self, block):
         return block in self._blocks
 
-    def access(self, block) -> bool:
-        """Service one request: True on hit (refreshes recency), False on miss
-        (inserts the block, evicting the LRU victim when full)."""
-        return self.access_all((block,)) == 1
-
     def insert(self, block):
         """Place a block without recording a hit or miss."""
         if block in self._blocks:
@@ -73,8 +68,10 @@ class LRUCache:
             self.insert(block)
 
     def access_all(self, blocks, outcomes=None) -> int:
-        """access() each block in turn; return the number of hits and, when
-        outcomes is a list, append each block's hit flag to it."""
+        """Service each block's request in turn: a hit refreshes its recency,
+        a miss inserts it, evicting the LRU victim when full.  Return the
+        number of hits and, when outcomes is a list, append each block's hit
+        flag to it."""
         cache, capacity, hits = self._blocks, self.capacity, 0
         for block in blocks:
             hit = block in cache

@@ -18,12 +18,14 @@ X[t,l] are both nonzero.  A zero count forces row j of Y[t] to be all zero,
 so the conditional of every pair in that row is a point mass at its current
 value; skipping those updates leaves the Markov kernel unchanged.
 
+The assignment step follows Neal's (2000) Algorithm 8 for every kind: a new
+cluster is one more empty candidate row, scored as the existing clusters
+are.  The dense and diagonal kinds have one such row, all dimensions active.
 For the sparse kinds a new cluster's activity vector has no closed-form
-integral, so the assignment step follows Neal's (2000) Algorithm 8: _N_AUX
-empty candidates, with vectors drawn from the collapsed Beta-Bernoulli
-predictive of the other clusters (the first one the slice's old vector when
-it was alone), share the new-cluster prior weight.  The step is exact for any
-number of candidates.
+integral, so _N_AUX rows, with vectors drawn from the collapsed
+Beta-Bernoulli predictive of the other clusters (the first one the slice's
+old vector when it was alone), share the new-cluster prior weight.  The step
+is exact for any number of candidates.
 
 Every predictive the sampler evaluates, for an existing cluster, a new one,
 the noise pools or a latent pair, is a sum of _log_gain terms, the one
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .models import _UNIT, Hyperparams, _grid, log_marginal, log_poisson_table
+from .models import _UNIT, Hyperparams, _grid, log_marginal, log_poisson
 
 DP_MIP = "dp-mip"
 DP_MMVP = "dp-mmvp"
@@ -216,9 +218,13 @@ def init_state(data, kind, hp, rng):
     else:
         state.b = np.ones((1, M), dtype=np.int8)
     state.beta = np.array([0.5, 0.5])
+    _refresh_stats(state)
+    return state
+
+
+def _refresh_stats(state):
     (state.n_k, state.S, state.LF, state.n_trans,
      state.S_hat, state.n_hat, state.LF_hat) = recompute_stats(state)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +248,6 @@ def _pair_mask(kind, b_row, M):
         act = b_row.astype(bool)
         return triu & np.outer(act, act)
     return triu
-
-
-def _project_to_support(Yt, b_row):
-    """Fold off-diagonal mass at pairs outside the active set onto the two
-    diagonals involved; preserves all row sums.  Returns a new array when a
-    change is needed, else Yt itself."""
-    act = np.asarray(b_row, dtype=bool)
-    M = len(act)
-    bad = ~np.outer(act, act)
-    np.fill_diagonal(bad, False)
-    moved = np.where(bad, Yt, 0)
-    if not moved.any():
-        return Yt
-    out = np.where(bad, 0, Yt)
-    idx = np.arange(M)
-    out[idx, idx] += moved.sum(axis=1)
-    return out
 
 
 def _categorical_from_log(logw, rng):
@@ -336,9 +325,10 @@ def _create_cluster(state, b_row, rng):
 
 
 def _project_batch(Yt, act):
-    """Yt projected onto each activity row of act (R, M) bool, as
-    _project_to_support does, with the upper-triangular masks of each row's
-    active pairs.  Returns two (R, M, M) arrays."""
+    """Yt projected onto each activity row of act (R, M) bool: off-diagonal
+    mass at pairs outside the row's active set is folded onto the two
+    diagonals involved, which preserves all row sums.  Returns the (R, M, M)
+    projections and the upper-triangular masks of each row's active pairs."""
     M = len(Yt)
     pair_ok = act[:, :, None] & act[:, None, :]
     bad = ~_fixed_mask(True, M)[None] & ~pair_ok
@@ -350,16 +340,13 @@ def _project_batch(Yt, act):
     return Yp, fm
 
 
-def f_existing(t, k, state):
-    """Log predictive of assigning slice t to existing cluster k."""
-    return _f_candidates(t, state, state.b, state.S, state.n_k)[k]
-
-
 def _f_candidates(t, state, b, S, n):
     """Log predictive of slice t joining each candidate cluster r, given its
     activity row b[r], summed latent matrix S[r] and size n[r]: the change of
     every active collapsed factor, on Y[t] projected onto the row's active
-    set, plus for sparse kinds the noise factors of its inactive dimensions."""
+    set, plus for sparse kinds the noise factors of its inactive dimensions.
+    Returns (scores, Yp): for the sparse kinds Yp holds the (R, M, M)
+    projections, otherwise it is Y[t] itself, which every row shares."""
     hp = state.hp
     if is_sparse(state.kind):
         act = b.astype(bool)
@@ -372,14 +359,7 @@ def _f_candidates(t, state, b, S, n):
         # per-dimension noise predictive is cluster-independent
         out += (~act).astype(float) @ _log_gain(state.S_hat, state.n_hat, state.X[t],
                                                 hp.a_hat, hp.b_hat)
-    return out
-
-
-def _f_new_const(state, t):
-    """New-cluster log marginal for the non-sparse kinds (b fixed to all-ones
-    or diagonal structure)."""
-    return float(_log_gain(0, 0, state.Y[t][_pair_mask(state.kind, None, state.M)],
-                           state.hp.a_bar, state.hp.b_bar).sum())
+    return out, Yp
 
 
 def f_new_sparse(t, state, rng, old_b=None):
@@ -440,9 +420,11 @@ def _log_z_weights(state, prev_k, next_k):
 def _sample_z(t, state, rng):
     """The assignment step of both priors: detach slice t and its edges,
     weigh every existing cluster and the new-cluster candidates, attach t to
-    one categorical draw.  The sparse kinds' candidates are the auxiliary
-    activity vectors of f_new_sparse, each with 1/_N_AUX of the new-cluster
-    prior weight; a chosen one opens the new cluster with its vector."""
+    one categorical draw.  Every kind's new cluster is a set of empty
+    candidate rows sharing the new-cluster prior weight: the _N_AUX
+    auxiliary activity vectors of f_new_sparse for the sparse kinds, one
+    all-active row otherwise.  A chosen one opens the new cluster with its
+    vector."""
     old_k = int(state.Z[t])
     temporal = is_temporal(state.kind)
     prev_k = int(state.Z[t - 1]) if temporal and t > 0 else None
@@ -461,23 +443,20 @@ def _sample_z(t, state, rng):
         if next_k is not None and next_k > old_k:
             next_k -= 1
     sparse = is_sparse(state.kind)
+    M = state.M
+    aux = f_new_sparse(t, state, rng, old_b) if sparse else np.ones((1, M), dtype=np.int8)
+    R = len(aux)
+    # the candidates are empty clusters: zero sums, size 0
+    S = np.concatenate([state.S, np.zeros((R, M, M), dtype=np.int64)])
+    n = np.append(state.n_k, np.zeros(R, dtype=np.int64))
     prior = _log_z_weights(state, prev_k, next_k)
+    prior = np.append(prior[:-1], np.full(R, prior[-1] - np.log(R)))
+    scores, Yp = _f_candidates(t, state, np.concatenate([state.b, aux]), S, n)
+    pick = _categorical_from_log(prior + scores, rng)
     if sparse:
-        # the auxiliaries are empty clusters: zero sums, size 0
-        aux = f_new_sparse(t, state, rng, old_b)
-        S = np.concatenate([state.S, np.zeros((_N_AUX, state.M, state.M), dtype=np.int64)])
-        n = np.append(state.n_k, np.zeros(_N_AUX, dtype=np.int64))
-        prior = np.append(prior[:-1], np.full(_N_AUX, prior[-1] - np.log(_N_AUX)))
-        logw = prior + _f_candidates(t, state, np.concatenate([state.b, aux]), S, n)
-    else:
-        logw = prior + np.append(_f_candidates(t, state, state.b, state.S, state.n_k),
-                                 _f_new_const(state, t))
-    pick = _categorical_from_log(logw, rng)
+        state.Y[t] = Yp[pick]
     if pick >= state.K:
-        new_b = aux[pick - state.K] if sparse else np.ones(state.M, dtype=np.int8)
-        pick = _create_cluster(state, new_b, rng)
-    if sparse:
-        state.Y[t] = _project_to_support(state.Y[t], state.b[pick])
+        pick = _create_cluster(state, aux[pick - state.K], rng)
     _add_to_cluster(state, t, pick)
     if prev_k is not None:
         state.n_trans[prev_k, pick] += 1
@@ -681,11 +660,6 @@ def _adopt(state, other):
     for name in ("Z", "Y", "K", "n_k", "S", "LF", "b", "beta", "n_trans",
                  "S_hat", "n_hat", "LF_hat", "m"):
         setattr(state, name, getattr(other, name))
-
-
-def _refresh_stats(state):
-    (state.n_k, state.S, state.LF, state.n_trans,
-     state.S_hat, state.n_hat, state.LF_hat) = recompute_stats(state)
 
 
 _LAUNCH_SCANS = 1
@@ -969,7 +943,7 @@ def heldout_loglik(model, data):
             f"model was fitted with {model.M} bins but the data has {X.shape[1]}")
     if X.shape[0] == 0:
         return 0.0
-    emis = log_poisson_table(X, model.mu)
+    emis = log_poisson(X[:, None], model.mu)
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.pi)
         log_pi0 = np.log(model.pi0)

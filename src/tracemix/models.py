@@ -83,32 +83,12 @@ class Hyperparams:
 
 
 @dataclass(frozen=True)
-class MVPParams:
-    """Full-covariance parameters: a symmetric non-negative rate matrix."""
-
-    Lambda: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.Lambda, dtype=float)
-        if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-            raise ValueError("Lambda must be a square matrix")
-        if not np.allclose(lam, lam.T):
-            raise ValueError("Lambda must be symmetric")
-        if np.any(lam < 0):
-            raise ValueError("Lambda entries must be non-negative")
-        object.__setattr__(self, "Lambda", lam)
-
-    @property
-    def dim(self):
-        return self.Lambda.shape[0]
-
-
-@dataclass(frozen=True)
 class SMVPParams:
     """Sparse variant: correlated rates on active dims, noise rates elsewhere.
 
     Lambda entries are only meaningful where b_j = b_l = 1; inactive
-    dimensions emit independent Poisson(lambda_hat_j) counts.
+    dimensions emit independent Poisson(lambda_hat_j) counts.  With every
+    dimension active it is the full multivariate Poisson (MVP).
     """
 
     Lambda: np.ndarray
@@ -140,20 +120,14 @@ class SMVPParams:
         return self.Lambda.shape[0]
 
 
-def sample_mvp(params: MVPParams, rng, size=None) -> np.ndarray:
-    """Draw one correlated count vector: X_j = sum_l Y_jl with Y symmetric.
-
-    E(X) = Lambda @ 1 and Cov(X_j, X_l) = lambda_jl for j != l.  With
-    size=n, n draws as the rows of an (n, M) array, the same draws as n
-    calls in turn.
-    """
-    j, l = np.triu_indices(params.dim)
-    return _row_sums(params.Lambda[j, l], j, l, params.dim, rng, size)
-
-
 def sample_smvp(params: SMVPParams, rng, size=None) -> np.ndarray:
     """Draw one sparse count vector: MVP on active dims, noise elsewhere.
-    size works as in sample_mvp."""
+
+    On the active dims X_j = sum_l Y_jl with Y symmetric, so E(X_j) =
+    sum_l lambda_jl and Cov(X_j, X_l) = lambda_jl for j != l.  With size=n,
+    n draws as the rows of an (n, M) array, the same draws as n calls in
+    turn.
+    """
     active, noise = np.flatnonzero(params.b), np.flatnonzero(params.b == 0)
     j, l = (active[k] for k in np.triu_indices(len(active)))
     rates = np.concatenate([params.Lambda[j, l], params.lambda_hat[noise]])
@@ -203,22 +177,13 @@ def mu_from_params(params: SMVPParams) -> np.ndarray:
     return active_rows + (1.0 - b) * params.lambda_hat
 
 
-def log_poisson_vec(x, mu) -> float:
-    """Joint log-pmf of independent Poisson coordinates.
-
-    mu_i = 0 with x_i > 0 yields -inf, which is a legal return.
-    """
-    x = np.asarray(x, dtype=float)
+def log_poisson(X, mu) -> np.ndarray:
+    """Joint log-pmf of count vectors X under independent Poisson coordinates
+    of means mu, along the last axis and broadcast over the others: a (T, 1,
+    M) X against (K, M) means gives the (T, K) table of a decoding pass.
+    mu_i = 0 with X_i > 0 gives -inf, a legal value."""
+    X = np.asarray(X, dtype=float)
     mu = np.asarray(mu, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xlog = np.where(x > 0, x * np.log(mu), 0.0)
-    return float(np.sum(xlog - mu - _UNIT.take(x)))
-
-
-def log_poisson_table(X, mu) -> np.ndarray:
-    """(T, K) table of log_poisson_vec(X[t], mu[k]) for batched decoding."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    mu = np.atleast_2d(np.asarray(mu, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlog = np.where(X[:, None, :] > 0, X[:, None, :] * np.log(mu[None]), 0.0)
-    return (xlog - mu[None]).sum(axis=2) - _UNIT.take(X).sum(axis=1)[:, None]
+        xlog = np.where(X > 0, X * np.log(mu), 0.0)
+    return (xlog - mu).sum(axis=-1) - _UNIT.take(X).sum(axis=-1)

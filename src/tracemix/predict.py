@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import BinningConfig, decode_sets, distinct, encode_sets, load_npz
-from .models import (_UNIT, Hyperparams, SMVPParams, log_poisson_table,
-                     mu_from_params)
+from .models import Hyperparams, SMVPParams, log_poisson, mu_from_params
 from . import gibbs
 
 MODEL_VERSION = 1
@@ -39,14 +38,18 @@ class FittedModel:
         self.pi = np.asarray(self.pi, dtype=float)
         self.pi0 = np.asarray(self.pi0, dtype=float)
         self.mu = np.asarray(self.mu, dtype=float)
-        if self.pi.shape != (self.K, self.K):
-            raise ValueError("pi must be K x K")
+        K = self.K
+        for name, fits in (("pi", self.pi.shape == (K, K)), ("pi0", self.pi0.shape == (K,)),
+                           ("mu", self.mu.ndim == 2 and len(self.mu) == K)):
+            v = getattr(self, name)
+            if not fits:
+                raise ValueError(f"{name} of shape {v.shape} does not fit K = {K}")
+            if not np.all(np.isfinite(v) & (v >= 0)):
+                raise ValueError(f"{name} must be finite and non-negative")
         if not np.allclose(self.pi.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("pi rows must sum to 1")
         if not np.isclose(self.pi0.sum(), 1.0, atol=1e-9):
             raise ValueError("pi0 must sum to 1")
-        if np.any(self.mu < 0):
-            raise ValueError("mu must be non-negative")
 
     @property
     def M(self):
@@ -142,14 +145,10 @@ def new_decoder(model: FittedModel) -> DecoderState:
     return DecoderState(omega=np.zeros(model.K), psi=[], t=0)
 
 
-def _log_emission(model, x):
-    return log_poisson_table(np.asarray(x)[None, :], model.mu)[0]
-
-
 def decoder_observe(state: DecoderState, model: FittedModel, x) -> DecoderState:
     """Absorb one observed slice: standard Viterbi update in log space.
     Argmax ties break toward the lowest cluster index."""
-    emis = _log_emission(model, x)
+    emis = log_poisson(x, model.mu)
     with np.errstate(divide="ignore"):
         if state.t == 0:
             state.omega = np.log(model.pi0) + emis
@@ -167,10 +166,7 @@ def decoder_predict_next(state: DecoderState, model: FittedModel) -> int:
     """Most likely next cluster before its emission is observed: the next
     emission is replaced by each cluster's own modal count vector (the floored
     mean, where the Poisson pmf peaks)."""
-    modes = np.floor(model.mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlog = np.where(modes > 0, modes * np.log(model.mu), 0.0)
-    mode_scores = (xlog - model.mu - _UNIT.take(modes)).sum(axis=1)
+    mode_scores = log_poisson(np.floor(model.mu), model.mu)
     with np.errstate(divide="ignore"):
         if state.t == 0:
             w = np.log(model.pi0) + mode_scores

@@ -84,7 +84,7 @@ def test_lru_stack_property_on_baseline():
 def test_cache_capacity_bound_holds():
     cache = LRUCache(3)
     for b in range(10):
-        cache.access(b)
+        cache.access_all((b,))
         assert len(cache) <= 3
 
 
@@ -96,7 +96,7 @@ def test_insert_distinct_leaves_what_one_by_one_inserts_leave(n):
     full, cut = LRUCache(5), LRUCache(5)
     for cache in (full, cut):
         for b in (blocks[0], 77, 78, blocks[-1]):
-            cache.access(b)
+            cache.access_all((b,))
     for b in blocks:
         full.insert(b)
     cut.insert_distinct(blocks)

@@ -127,3 +127,34 @@ def test_simulate_rejects_corrupt_model_sets(tmp_path, capsys, case):
                      "--format", "plain", "--slice-secs", "30"])
     assert code == cli.EXIT_CONFIG
     assert f"map_{CORRUPT[case][2]}" in capsys.readouterr().err
+
+
+# rows that still sum to 1, and a mean table one row too long
+TAMPERED = {
+    "pi": np.tile([1.5, -0.5, 0.0], (3, 1)),
+    "pi0": np.array([1.5, -0.5, 0.0]),
+    "mu": np.ones((4, 2)),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("field", TAMPERED)
+def test_a_tampered_model_is_a_config_error_naming_its_field(tmp_path, capsys,
+                                                             field, command):
+    artifact, trace, model = tmp_path / "a.npz", tmp_path / "trace.csv", tmp_path / "m.npz"
+    ingest.save_artifact(CountVectorSequence(np.arange(10).reshape(5, 2), SETS,
+                                             BINNING), artifact)
+    trace.write_text("0.0,read,0,512\n40.0,read,512,512\n")
+    predict.save_model(toy_model(), predict.AccessMap(dict(enumerate(SETS))),
+                       BINNING, model)
+    with np.load(model) as z:
+        fields = dict(z)
+    fields[field] = TAMPERED[field]
+    np.savez(model, **fields)
+    argv = {"eval": ["eval", "--artifact", str(artifact), "--models", str(model)],
+            "simulate": ["simulate", "--trace", str(trace), "--model", str(model),
+                         "--format", "plain", "--slice-secs", "30"]}[command]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} ")

@@ -69,15 +69,23 @@ def test_sample_z_dp_identical_points_prefer_sharing():
     assert freqs.get(frozenset({0}), 0.0) == pytest.approx(p_share, abs=TOL)
 
 
-def test_sample_z_dp_matches_enumeration():
+@pytest.mark.parametrize("kind", [gibbs.DP_MMVP, gibbs.DP_MIP])
+def test_sample_z_dp_matches_enumeration(kind):
     hp = Hyperparams()
     X = np.array([[1, 0], [2, 1], [0, 1]])
-    # a generic valid latent configuration over two clusters
     Z = np.array([0, 0, 1])
-    Y = np.array([[[1, 0], [0, 0]],
-                  [[1, 1], [1, 0]],
-                  [[0, 0], [0, 1]]])
-    state = oracles.build_state(gibbs.DP_MMVP, X, Z, Y,
+    diag = gibbs.is_diagonal(kind)
+    if diag:
+        # the independent kinds keep every latent matrix diagonal, and score
+        # the new cluster with the diagonal mask
+        Y = np.zeros((3, 2, 2), dtype=np.int64)
+        Y[:, [0, 1], [0, 1]] = X
+    else:
+        # a generic valid latent configuration over two clusters
+        Y = np.array([[[1, 0], [0, 0]],
+                      [[1, 1], [1, 0]],
+                      [[0, 0], [0, 1]]])
+    state = oracles.build_state(kind, X, Z, Y,
                                 [[1, 1], [1, 1]], [0.4, 0.4, 0.2], hp)
     t = 1
     # candidates: share with slice 0, share with slice 2, alone
@@ -87,7 +95,7 @@ def test_sample_z_dp_matches_enumeration():
         frozenset(): np.array([0, 2, 1]),
     }
     logps = {key: oracles.full_joint(X, z, Y, [[1, 1]] * 3, state.beta, hp,
-                                     temporal=False, sparse=False, diag=False)
+                                     temporal=False, sparse=False, diag=diag)
              for key, z in configs.items()}
     keys = sorted(configs, key=sorted)
     probs = dict(zip(keys, normalized([logps[k] for k in keys])))
@@ -172,30 +180,26 @@ def test_sample_z_hdp_new_cluster_weight_formula():
     t = 1
     prev_k, next_k = 0, 1
     n_minus = np.zeros((2, 2))  # transition counts without t's edges
+    mask = np.ones((1, 1), dtype=bool)
+
+    def predictive(k):
+        # cluster k without slice t; k = 2 is the new, empty cluster
+        others = [u for u in range(len(X)) if u != t and state.Z[u] == k]
+        return np.exp(oracles._pred_delta(hp, Y[others].sum(axis=0), len(others),
+                                          Y[t], mask))
+
     w = []
     for k in (0, 1):
         in_f = hp.alpha * beta[k] + n_minus[prev_k, k]
         num = hp.alpha * beta[next_k] + n_minus[k, next_k] + (prev_k == k) * (k == next_k)
         den = hp.alpha + n_minus[k].sum() + (prev_k == k)
-        w.append(in_f * num / den * np.exp(gibbs.f_existing(t, k, _detached(state, t))))
-    w.append(hp.alpha * beta[2] * beta[next_k]
-             * np.exp(gibbs._f_new_const(_detached(state, t), t)))
+        w.append(in_f * num / den * predictive(k))
+    w.append(hp.alpha * beta[2] * beta[next_k] * predictive(2))
     probs = np.array(w) / sum(w)
     freqs = empirical_outcomes(
         state, lambda st, rng: gibbs.sample_z_hdp(t, st, rng),
         lambda st: partition_of(st, t), n=40_000, seed=4)
     assert freqs.get(frozenset(), 0.0) == pytest.approx(probs[2], abs=TOL)
-
-
-def _detached(state, t):
-    st = state.clone()
-    if gibbs.is_temporal(st.kind):
-        if t > 0:
-            st.n_trans[st.Z[t - 1], st.Z[t]] -= 1
-        if t < st.T - 1:
-            st.n_trans[st.Z[t], st.Z[t + 1]] -= 1
-    gibbs._remove_from_cluster(st, t)
-    return st
 
 
 def test_sample_z_hdp_self_transition_counting():
