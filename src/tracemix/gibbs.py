@@ -27,11 +27,21 @@ Beta-Bernoulli predictive of the other clusters (the first one the slice's
 old vector when it was alone), share the new-cluster prior weight.  The step
 is exact for any number of candidates.
 
+A candidate is scored on the slice's support alone, the upper entries among
+its nonzero bins, since every other entry of its projected Y is zero.  For
+y = 0, _log_gain is -(a + S) * log((b + n + 1) / (b + n)), so the zero
+entries of a candidate's P masked ones add up to one closed-form term in the
+masked total T of its S, which the diagonal of S and the row-sum identity
+give.  A slice that is not alone stays in its cluster's sums while it is
+scored (the scorer takes it out of that row and of the noise pools), and
+the statistics move only when the draw moves it.
+
 Every predictive the sampler evaluates, for an existing cluster, a new one,
 the noise pools or a latent pair, is a sum of _log_gain terms, the one
 Poisson-Gamma predictive gain.
 """
 
+import bisect
 import collections
 import functools
 import itertools
@@ -119,8 +129,9 @@ class GibbsState:
     S[k] sums the members' Y matrices, LF[k] the matching log(Y!) terms;
     S_hat/n_hat/LF_hat pool the diagonal counts of inactive dimensions across
     all clusters.  A state is single-owner: updates mutate it in place.
-    moves tallies the split-merge proposals by outcome (MOVE_COUNTS) for the
-    diagnostics; it is not part of the sampled state.
+    moves tallies the split-merge proposals by outcome and the clusters the
+    assignment step opens and closes (MOVE_COUNTS) for the diagnostics; it
+    is not part of the sampled state.
     """
 
     def __init__(self, kind, hp, X):
@@ -230,7 +241,7 @@ def _refresh_stats(state):
 # ---------------------------------------------------------------------------
 # small internals
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=None)
 def _fixed_mask(diagonal, M):
     """The diagonal or the upper triangle (incl. diagonal) of an M x M
     matrix, built once and shared read-only."""
@@ -251,9 +262,10 @@ def _pair_mask(kind, b_row, M):
 
 
 def _categorical_from_log(logw, rng):
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
-    return int(np.searchsorted(np.cumsum(w), rng.random(), side="right"))
+    """One draw from the weights exp(logw), a list of Python floats."""
+    top = max(logw)
+    cum = list(itertools.accumulate(math.exp(v - top) for v in logw))
+    return min(bisect.bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
 
 
 def _remove_from_cluster(state, t):
@@ -324,42 +336,57 @@ def _create_cluster(state, b_row, rng):
     return state.K - 1
 
 
-def _project_batch(Yt, act):
-    """Yt projected onto each activity row of act (R, M) bool: off-diagonal
-    mass at pairs outside the row's active set is folded onto the two
-    diagonals involved, which preserves all row sums.  Returns the (R, M, M)
-    projections and the upper-triangular masks of each row's active pairs."""
-    M = len(Yt)
-    pair_ok = act[:, :, None] & act[:, None, :]
-    bad = ~_fixed_mask(True, M)[None] & ~pair_ok
-    moved = np.where(bad, Yt[None], 0)
-    Yp = np.where(bad, 0, Yt[None])
-    idx = np.arange(M)
-    Yp[:, idx, idx] += moved.sum(axis=2)
-    fm = _fixed_mask(False, M)[None] & pair_ok
-    return Yp, fm
-
-
-def _f_candidates(t, state, b, S, n):
-    """Log predictive of slice t joining each candidate cluster r, given its
-    activity row b[r], summed latent matrix S[r] and size n[r]: the change of
-    every active collapsed factor, on Y[t] projected onto the row's active
-    set, plus for sparse kinds the noise factors of its inactive dimensions.
-    Returns (scores, Yp): for the sparse kinds Yp holds the (R, M, M)
-    projections, otherwise it is Y[t] itself, which every row shares."""
+def _f_candidates(t, state, aux, home=None):
+    """Log predictive of slice t joining each of the K clusters and each
+    empty candidate with an activity row of aux: the change of every active
+    collapsed factor, on Y[t] projected onto the row's active set, plus for
+    sparse kinds the noise factors of its inactive dimensions, scored on the
+    nonzero bins sup of X[t] (module docstring).  With home given, t's Y is
+    still in S[home] and in home's noise pools; n_k must not count it.
+    Returns (scores, Yp, sup): Yp holds each row's projection of
+    Y[t][sup, sup] for the sparse kinds, else that block itself."""
     hp = state.hp
-    if is_sparse(state.kind):
-        act = b.astype(bool)
-        Yp, fm = _project_batch(state.Y[t], act)
+    sparse = is_sparse(state.kind)
+    K, x, S = state.K, state.X[t], state.S
+    sup = np.flatnonzero(x)
+    Ys = state.Y[t][sup[:, None], sup]
+    act = np.concatenate((state.b, aux))
+    n = np.concatenate((state.n_k, np.zeros(len(aux), dtype=np.int64)))
+    Ss = np.zeros((len(act), len(sup), len(sup)), dtype=np.int64)
+    Ss[:K] = S[:, sup[:, None], sup]
+    # masked totals by the row-sum identity: off-diagonal mass sits only
+    # between active dimensions, and half of it above the diagonal
+    diag = S.diagonal(axis1=1, axis2=2)
+    T = np.zeros(len(act), dtype=np.int64)
+    T[:K] = (S.sum(axis=(1, 2)) - diag.sum(axis=1)) // 2 + (diag * state.b).sum(axis=1)
+    if sparse:
+        # fold the mass of pairs outside each row's active set onto the diagonals
+        on = act[:, sup] != 0
+        ok = on[:, :, None] & on[:, None, :]
+        Yp = Ys * ok
+        Yp += (x[sup] - Yp.sum(axis=2))[:, :, None] * _fixed_mask(True, len(sup))
+        fm = ok & _fixed_mask(False, len(sup))
     else:
-        Yp, fm = state.Y[t], _pair_mask(state.kind, None, state.M)
-    gain = _log_gain(S, n[:, None, None], Yp, hp.a_bar, hp.b_bar)
-    out = np.where(fm, gain, 0.0).sum(axis=(1, 2))
-    if is_sparse(state.kind):
+        Yp, fm = Ys, _fixed_mask(is_diagonal(state.kind), len(sup))
+    if home is not None:
+        Ss[home] -= Ys
+        T[home] -= Ys[fm[home] if sparse else fm].sum()
+    a, log_n1, log_n = hp.a_bar, np.log(n + (hp.b_bar + 1.0)), np.log(n + hp.b_bar)
+    g = _grid(a)
+    gain = g.take(Ss + Yp) - g.take(Ss) - Yp * log_n1[:, None, None] - _UNIT.take(Yp)
+    c = act.sum(axis=1)
+    P = c if is_diagonal(state.kind) else c * (c + 1) // 2
+    out = (gain * fm).sum(axis=(1, 2)) - (a * P + T) * (log_n1 - log_n)
+    if sparse:
         # per-dimension noise predictive is cluster-independent
-        out += (~act).astype(float) @ _log_gain(state.S_hat, state.n_hat, state.X[t],
-                                                hp.a_hat, hp.b_hat)
-    return out, Yp
+        S_hat, n_hat = state.S_hat, state.n_hat
+        if home is not None:
+            # on home's inactive dimensions t's latent diagonal is X[t]
+            out_of = state.b[home] == 0
+            S_hat = S_hat - x * out_of
+            n_hat = n_hat - out_of
+        out += (act == 0) @ _log_gain(S_hat, n_hat, x, hp.a_hat, hp.b_hat)
+    return out, Yp, sup
 
 
 def f_new_sparse(t, state, rng, old_b=None):
@@ -395,36 +422,38 @@ def sample_z_hdp(t, state, rng):
 
 
 def _log_z_weights(state, prev_k, next_k):
-    """Log prior weights of the K existing clusters and a new one for a
-    detached slice: the CRP sizes for the exchangeable kinds; for the Markov
-    kinds, the terms of its edges from prev_k and to next_k (None at the ends
-    of the sequence)."""
-    K, alpha, beta = state.K, state.hp.alpha, state.beta
+    """Log prior weights, as Python floats, of the K existing clusters and a
+    new one for a slice that n_k and n_trans no longer count: the CRP sizes
+    for the exchangeable kinds; for the Markov kinds, the terms of its edges
+    from prev_k and to next_k (None at the ends of the sequence)."""
+    K, alpha, beta = state.K, state.hp.alpha, state.beta.tolist()
     if not is_temporal(state.kind):
-        return np.log(np.append(state.n_k.astype(float), alpha))
-    in_f = alpha * beta[:K] + (state.n_trans[prev_k].astype(float)
-                               if prev_k is not None else 0.0)
-    out = np.log(np.append(in_f, alpha * beta[K]))
+        return [math.log(v) for v in state.n_k.tolist()] + [math.log(alpha)]
+    into = state.n_trans[prev_k].tolist() if prev_k is not None else [0] * K
+    out = [math.log(alpha * w + c) for w, c in zip(beta, into)]
+    out.append(math.log(alpha * beta[K]))
     if next_k is not None:
-        num = alpha * beta[next_k] + state.n_trans[:, next_k].astype(float)
-        den = alpha + state.n_trans.sum(axis=1).astype(float)
+        num = (alpha * beta[next_k] + state.n_trans[:, next_k]).tolist()
+        den = (alpha + state.n_trans.sum(axis=1)).tolist()
         if prev_k is not None:
             if prev_k == next_k:
                 num[prev_k] += 1.0
             den[prev_k] += 1.0
-        out[:K] += np.log(num) - np.log(den)
-        out[K] += np.log(beta[next_k])
+        for k in range(K):
+            out[k] += math.log(num[k]) - math.log(den[k])
+        out[K] += math.log(beta[next_k])
     return out
 
 
 def _sample_z(t, state, rng):
-    """The assignment step of both priors: detach slice t and its edges,
-    weigh every existing cluster and the new-cluster candidates, attach t to
-    one categorical draw.  Every kind's new cluster is a set of empty
-    candidate rows sharing the new-cluster prior weight: the _N_AUX
-    auxiliary activity vectors of f_new_sparse for the sparse kinds, one
-    all-active row otherwise.  A chosen one opens the new cluster with its
-    vector."""
+    """The assignment step of both priors: take slice t and its edges out of
+    the counts, weigh every existing cluster and the new-cluster candidates,
+    and draw once.  Every kind's new cluster is a set of empty candidate
+    rows sharing the new-cluster prior weight: the _N_AUX auxiliary activity
+    vectors of f_new_sparse for the sparse kinds, one all-active row
+    otherwise.  A chosen one opens the new cluster with its vector.  A
+    singleton is detached and its cluster deleted; any other slice leaves
+    only Z[t] and n_k while it is scored (module docstring)."""
     old_k = int(state.Z[t])
     temporal = is_temporal(state.kind)
     prev_k = int(state.Z[t - 1]) if temporal and t > 0 else None
@@ -433,31 +462,39 @@ def _sample_z(t, state, rng):
         state.n_trans[prev_k, old_k] -= 1
     if next_k is not None:
         state.n_trans[old_k, next_k] -= 1
-    _remove_from_cluster(state, t)
-    old_b = None
-    if state.n_k[old_k] == 0:
+    home, old_b = old_k, None
+    if state.n_k[old_k] == 1:
         old_b = state.b[old_k].copy()
+        _remove_from_cluster(state, t)
         _delete_cluster(state, old_k)
+        state.moves["clusters_closed"] += 1
+        home = None
         if prev_k is not None and prev_k > old_k:
             prev_k -= 1
         if next_k is not None and next_k > old_k:
             next_k -= 1
+    else:
+        state.n_k[old_k] -= 1
+        state.Z[t] = -1
     sparse = is_sparse(state.kind)
-    M = state.M
-    aux = f_new_sparse(t, state, rng, old_b) if sparse else np.ones((1, M), dtype=np.int8)
-    R = len(aux)
-    # the candidates are empty clusters: zero sums, size 0
-    S = np.concatenate([state.S, np.zeros((R, M, M), dtype=np.int64)])
-    n = np.append(state.n_k, np.zeros(R, dtype=np.int64))
+    K = state.K
+    aux = f_new_sparse(t, state, rng, old_b) if sparse else np.ones((1, state.M), dtype=np.int8)
     prior = _log_z_weights(state, prev_k, next_k)
-    prior = np.append(prior[:-1], np.full(R, prior[-1] - np.log(R)))
-    scores, Yp = _f_candidates(t, state, np.concatenate([state.b, aux]), S, n)
-    pick = _categorical_from_log(prior + scores, rng)
-    if sparse:
-        state.Y[t] = Yp[pick]
-    if pick >= state.K:
-        pick = _create_cluster(state, aux[pick - state.K], rng)
-    _add_to_cluster(state, t, pick)
+    prior[K:] = [prior[K] - math.log(len(aux))] * len(aux)
+    scores, Yp, sup = _f_candidates(t, state, aux, home)
+    pick = _categorical_from_log([p + s for p, s in zip(prior, scores.tolist())], rng)
+    if home is not None:
+        state.n_k[home] += 1
+        state.Z[t] = home
+    if pick != home:
+        if home is not None:
+            _remove_from_cluster(state, t)
+        if sparse:
+            state.Y[t][sup[:, None], sup] = Yp[pick]
+        if pick >= K:
+            pick = _create_cluster(state, aux[pick - K], rng)
+            state.moves["clusters_opened"] += 1
+        _add_to_cluster(state, t, pick)
     if prev_k is not None:
         state.n_trans[prev_k, pick] += 1
     if next_k is not None:
@@ -489,7 +526,7 @@ def sample_y(t, j, l, state, rng):
                   [int(state.S[k, l, l]) - dl]])
     lw = _log_gain(S, int(state.n_k[k]) - 1, np.array([v, rj - v, rl - v]),
                    hp.a_bar, hp.b_bar).sum(axis=0)
-    pick = int(v[_categorical_from_log(lw, rng)])
+    pick = int(v[_categorical_from_log(lw.tolist(), rng)])
     if pick != y0:
         new_dj = rj - pick
         new_dl = rl - pick
@@ -513,7 +550,8 @@ def sample_b(k, j, state, rng):
     likelihood of each side's canonical latent configuration.
 
     Toggling re-projects the members' Y matrices: deactivation folds row and
-    column j onto the diagonals, activation leaves row j diagonal-only.
+    column j onto the diagonals, activation leaves row j diagonal-only.  Only
+    row j and the diagonals of the members are read or written.
     """
     if not is_sparse(state.kind):
         raise ValueError("activity indicators only exist for sparse kinds")
@@ -524,11 +562,14 @@ def sample_b(k, j, state, rng):
     members = np.where(state.Z == k)[0]
     n = len(members)
     cur = int(state.b[k, j])
-    others = np.where((state.b[k] == 1) & (np.arange(M) != j))[0]
+    idx = np.arange(M)
+    others = np.where((state.b[k] == 1) & (idx != j))[0]
     x_j = state.X[members, j]
     sum_x = int(x_j.sum())
     glx = float(_UNIT.take(x_j).sum())
-    diag_mem = np.einsum("tjj->tj", state.Y[members])
+    diag_mem = state.Y[members[:, None], idx, idx]
+    off = state.Y[members, j]           # row j without its diagonal
+    off[:, j] = 0
 
     if cur == 1:
         s1_jj = state.S[k, j, j]
@@ -537,8 +578,6 @@ def sample_b(k, j, state, rng):
         lf1_jl = state.LF[k, j, others]
         s1_ll = state.S[k, others, others]
         lf1_ll = state.LF[k, others, others]
-        off = state.Y[members][:, j, :].copy()
-        off[:, j] = 0
         s0_ll = s1_ll + off[:, others].sum(axis=0)
         lf0_ll = lf1_ll + (_UNIT.take(diag_mem[:, others] + off[:, others])
                            - _UNIT.take(diag_mem[:, others])).sum(axis=0)
@@ -574,16 +613,12 @@ def sample_b(k, j, state, rng):
 
     if new == 0:
         # fold row/column j of every member onto the diagonals
-        off = state.Y[members][:, j, :].copy()
-        off[:, j] = 0
         moved = off.sum(axis=1)
-        Ym = state.Y[members]
-        idx = np.arange(M)
-        Ym[:, idx, idx] += off
-        Ym[:, j, j] += moved
-        Ym[:, j, :][:, idx != j] = 0
-        Ym[:, :, j][:, idx != j] = 0
-        state.Y[members] = Ym
+        new_diag = diag_mem + off
+        state.Y[members, j] = 0
+        state.Y[members, :, j] = 0
+        state.Y[members[:, None], idx, idx] = new_diag
+        state.Y[members, j, j] += moved
         col_moved = off.sum(axis=0)
         keep = idx != j
         state.S[k, j, keep] = 0
@@ -593,7 +628,6 @@ def sample_b(k, j, state, rng):
         state.S[k, j, j] += int(moved.sum())
         state.LF[k, j, j] = glx
         state.S[k, idx, idx] += col_moved * keep
-        new_diag = diag_mem + off
         lf_diag = _UNIT.take(new_diag).sum(axis=0)
         state.LF[k, idx[keep], idx[keep]] = lf_diag[keep]
         state.S_hat[j] += sum_x
@@ -664,9 +698,11 @@ def _adopt(state, other):
 
 _LAUNCH_SCANS = 1
 
-# the split-merge tallies of GibbsState.moves, in their --diagnostics order;
-# merges_priced counts the merges that reached the reverse-split scan
-MOVE_COUNTS = ("splits_proposed", "splits_accepted", "merges_proposed", "merges_priced")
+# the tallies of GibbsState.moves, in their --diagnostics order: the
+# split-merge proposals (merges_priced counts the merges that reached the
+# reverse-split scan), then the clusters the assignment step opened and closed
+MOVE_COUNTS = ("splits_proposed", "splits_accepted", "merges_proposed", "merges_priced",
+               "clusters_opened", "clusters_closed")
 
 
 def _log_sigmoid(x):
@@ -902,6 +938,7 @@ def run_gibbs(data, kind, hp=None, cfg=None):
     started = time.monotonic()
     for sweep in range(1, cfg.iterations + 1):
         n_y = 0
+        state.moves.clear()
         for t in range(state.T):
             step_z(t, state, rng)
             for (j, l) in _live_pairs(state, t):
@@ -911,7 +948,6 @@ def run_gibbs(data, kind, hp=None, cfg=None):
             for k in range(state.K):
                 for j in range(state.M):
                     sample_b(k, j, state, rng)
-        state.moves.clear()
         accepted = sample_split_merge(state, rng)
         moves = tuple(state.moves[name] for name in MOVE_COUNTS)
         sample_m_beta(state, rng)

@@ -137,7 +137,8 @@ def test_fit_diagnostics_count_draws_and_acceptances(tmp_path, monkeypatch):
         rows = list(reader)
     assert reader.fieldnames == ["sweep", "joint_log_density", "K", "wall_clock",
                                  "y_draws", "split_merge_accepted", "splits_proposed",
-                                 "splits_accepted", "merges_proposed", "merges_priced"]
+                                 "splits_accepted", "merges_proposed", "merges_priced",
+                                 "clusters_opened", "clusters_closed"]
     assert [int(r["sweep"]) for r in rows] == [1, 2, 3, 4]
     assert [int(r["y_draws"]) for r in rows] == draws[:-1]
     assert [int(r["split_merge_accepted"]) for r in rows] == accepted
@@ -153,6 +154,58 @@ def test_fit_diagnostics_count_draws_and_acceptances(tmp_path, monkeypatch):
                                                int(r["split_merge_accepted"]))
         assert int(r["split_merge_accepted"]) - moves["splits_accepted"] \
             <= moves["merges_priced"]
+
+
+@pytest.mark.parametrize("kind", ["dp-mmvp", "sparse-hmm-dp-mmvp"])
+def test_fit_diagnostics_count_clusters_opened_and_closed(tmp_path, monkeypatch, kind):
+    # the columns count the clusters that the assignment step creates and
+    # deletes in each sweep; split-merge's own clusters are not counted.  The
+    # recovery fixture's correlated counts make the MMVP kinds open and close
+    # clusters from the one-cluster start
+    seq, _ = synth.gen_count_sequence(replace(synth.default_recovery_spec(seed=0), T=60))
+    artifact = tmp_path / "counts.npz"
+    ingest.save_artifact(seq, artifact)
+    opened, closed, in_step = [0], [0], [False]
+    step = "sample_z_hdp" if gibbs.is_temporal(kind) else "sample_z_dp"
+    real_z, real_sm = getattr(gibbs, step), gibbs.sample_split_merge
+    real_create, real_delete = gibbs._create_cluster, gibbs._delete_cluster
+
+    def count_z(*args):
+        in_step[0] = True
+        try:
+            return real_z(*args)
+        finally:
+            in_step[0] = False
+
+    def count_create(*args):
+        opened[-1] += in_step[0]
+        return real_create(*args)
+
+    def count_delete(*args):
+        closed[-1] += in_step[0]
+        return real_delete(*args)
+
+    def next_sweep(*args):
+        opened.append(0)
+        closed.append(0)
+        return real_sm(*args)
+
+    monkeypatch.setattr(gibbs, step, count_z)
+    monkeypatch.setattr(gibbs, "_create_cluster", count_create)
+    monkeypatch.setattr(gibbs, "_delete_cluster", count_delete)
+    monkeypatch.setattr(gibbs, "sample_split_merge", next_sweep)
+    diagnostics = tmp_path / "diag.csv"
+    assert cli.main(["fit", "--artifact", str(artifact), "--out", str(tmp_path / "m.npz"),
+                     "--kind", kind, "--iters", "4", "--burn-in", "2",
+                     "--seed", "1", "--diagnostics", str(diagnostics)]) == cli.EXIT_OK
+    with open(diagnostics, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # split-merge runs after the sweep's assignments, so the first tallies
+    # belong to sweep 1 and the last (empty) pair to no sweep
+    assert [int(r["clusters_opened"]) for r in rows] == opened[:-1]
+    assert [int(r["clusters_closed"]) for r in rows] == closed[:-1]
+    assert sum(opened) > 0 and sum(closed) > 0
+    assert opened[-1] == closed[-1] == 0
 
 
 def test_simulate_cuts_where_fit_cuts(tmp_path):

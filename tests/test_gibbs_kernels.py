@@ -5,11 +5,12 @@ be no-ops; the one-array split-merge scan must reproduce the per-slice
 reference in oracles.py draw for draw from the same seed."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from tracemix import gibbs
+from tracemix import gibbs, synth
 from tracemix.models import Hyperparams
 
 import oracles
@@ -193,3 +194,172 @@ def test_split_merge_carries_the_adopted_density(kind, monkeypatch):
     accepted = sum(gibbs.sample_split_merge(state, rng, 10) for _ in range(4))
     assert accepted == sum(outcomes) > 0
     assert len(outcomes) == 40
+
+
+# ---------------------------------------------------------------------------
+# the assignment scorer on the slice's support
+
+def aux_rows(state, rng):
+    """Candidate activity rows: random ones for the sparse kinds, so that
+    some rows fold latent pairs; the one all-active row otherwise."""
+    if gibbs.is_sparse(state.kind):
+        return (rng.random((gibbs._N_AUX, state.M)) < 0.6).astype(np.int8)
+    return np.ones((1, state.M), dtype=np.int8)
+
+
+def reference_scores(t, detached, aux):
+    """The whole-matrix scorer on a state that t has already left: the K
+    clusters as they are, then the empty auxiliary rows."""
+    R, M = aux.shape
+    S = np.concatenate([detached.S, np.zeros((R, M, M), dtype=np.int64)])
+    n = np.append(detached.n_k, np.zeros(R, dtype=np.int64))
+    return oracles.reference_f_candidates(t, detached, np.concatenate([detached.b, aux]),
+                                          S, n)
+
+
+def assert_scores_match(t, state, aux, home, detached):
+    scores, Yp, sup = gibbs._f_candidates(t, state, aux, home)
+    ref, ref_Yp = reference_scores(t, detached, aux)
+    assert scores == pytest.approx(ref, abs=1e-9, rel=0)
+    block = np.ix_(sup, sup)
+    if gibbs.is_sparse(state.kind):
+        # each projection lives on the support and equals the reference's
+        assert all(np.array_equal(Yp[r], ref_Yp[r][block]) for r in range(len(Yp)))
+        assert all(ref_Yp[r].sum() == Yp[r].sum() for r in range(len(Yp)))
+        return int(sum(not np.array_equal(Yp[r], state.Y[t][block]) for r in range(len(Yp))))
+    assert np.array_equal(Yp, ref_Yp[block])
+    return 0
+
+
+@pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
+def test_support_scorer_matches_reference(kind):
+    # staying slices are scored in place, detached and singleton slices
+    # after they left; every state is new, so nothing cached per slice can
+    # carry over from the last one.  Slice 0 has no nonzero bin at all.
+    folded = cases = 0
+    for seed in range(4):
+        state = random_state(kind, seed=20 + seed, T=16, M=6, K=4)
+        X, Y = state.X.copy(), state.Y.copy()
+        X[0], Y[0] = 0, 0
+        state = oracles.build_state(kind, X, state.Z, Y, state.b, state.beta, state.hp)
+        rng = np.random.default_rng(seed)
+        for t in range(state.T):
+            aux = aux_rows(state, rng)
+            home = int(state.Z[t])
+            detached = state.clone()
+            gibbs._remove_from_cluster(detached, t)
+            if state.n_k[home] > 1:
+                # in place: only Z[t] and n_k let it go
+                staying = state.clone()
+                staying.n_k[home] -= 1
+                staying.Z[t] = -1
+                folded += assert_scores_match(t, staying, aux, home, detached)
+            # detached, with its cluster kept even when it is empty
+            folded += assert_scores_match(t, detached, aux, None, detached)
+            cases += 1
+    assert cases == 64
+    if gibbs.is_sparse(kind):
+        assert folded > 20
+
+
+@pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
+def test_support_scorer_of_a_deleted_singleton(kind):
+    # a singleton's cluster is deleted before it is scored, down to K = 0
+    # when it was the only cluster
+    base = random_state(kind, seed=7, T=12, M=5, K=3)
+    t = 4
+    k = int(base.Z[t])
+    Z = base.Z.copy()
+    Z[t] = base.K                      # t alone, with its cluster's vector
+    b = np.vstack([base.b, base.b[k]])
+    beta = np.full(base.K + 2, 1.0 / (base.K + 2))
+    only = ([t], [0], b[k:k + 1], [0.5, 0.5])
+    for rows, labels, vecs, weights in ((slice(None), Z, b, beta), only):
+        state = oracles.build_state(kind, base.X[rows], labels, base.Y[rows], vecs,
+                                    weights, base.hp)
+        s = state.K - 1 if state.K > 1 else 0
+        u = t if state.T > 1 else 0
+        assert state.n_k[s] == 1 and state.Z[u] == s
+        gibbs._remove_from_cluster(state, u)
+        gibbs._delete_cluster(state, s)
+        aux = aux_rows(state, np.random.default_rng(state.K))
+        assert_scores_match(u, state, aux, None, state)
+    assert state.K == 0
+
+
+@pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
+def test_a_slice_that_stays_leaves_the_statistics_bit_identical(kind):
+    state = random_state(kind, seed=3, T=30, M=5, K=3)
+    step = gibbs.sample_z_hdp if gibbs.is_temporal(kind) else gibbs.sample_z_dp
+    stayed = 0
+    for t in range(state.T):
+        for seed in range(6):
+            st = state.clone()
+            step(t, st, np.random.default_rng(seed))
+            if st.K != state.K or st.Z[t] != state.Z[t]:
+                continue
+            stayed += 1
+            for name in ("Z", "Y", "S", "LF", "n_k", "n_trans", "b",
+                         "S_hat", "n_hat", "LF_hat"):
+                assert getattr(st, name).tobytes() == getattr(state, name).tobytes(), name
+    assert stayed > 20
+
+
+# ---------------------------------------------------------------------------
+# the activity step reads row j and the diagonals only
+
+@pytest.mark.parametrize("kind", [gibbs.SPARSE_DP_MMVP, gibbs.SPARSE_HMM_DP_MMVP])
+def test_sample_b_matches_the_whole_matrix_reference(kind):
+    toggles = {0: 0, 1: 0}
+    for seed in range(3):
+        state = random_state(kind, seed=30 + seed, T=24, M=5, K=3)
+        for k in range(state.K):
+            for j in range(state.M):
+                for draw in range(4):
+                    st, ref = state.clone(), state.clone()
+                    rng, ref_rng = (np.random.default_rng(100 * seed + draw) for _ in range(2))
+                    gibbs.sample_b(k, j, st, rng)
+                    oracles.reference_sample_b(k, j, ref, ref_rng)
+                    for name in ("b", "Y", "S", "LF", "S_hat", "n_hat", "LF_hat"):
+                        assert getattr(st, name).tobytes() == getattr(ref, name).tobytes(), name
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                    if st.b[k, j] != state.b[k, j]:
+                        toggles[int(st.b[k, j])] += 1
+    # both directions: activations and deactivations
+    assert min(toggles.values()) > 5
+
+
+# ---------------------------------------------------------------------------
+# the assignment step costs the support, not M^2
+
+def padded_state(M, T=120):
+    """The planted clusters of the recovery fixture's first T slices, with
+    diagonal latents, their counts zero-padded from 10 bins to M: the same
+    support in a wider space, padded bins inactive everywhere."""
+    spec = synth.default_recovery_spec(seed=0)
+    seq, Z = synth.gen_count_sequence(spec)
+    labels, Z = np.unique(Z[:T], return_inverse=True)
+    X = np.zeros((T, M), dtype=np.int64)
+    X[:, :spec.M] = seq.X[:T]
+    Y = np.zeros((T, M, M), dtype=np.int64)
+    Y[:, np.arange(M), np.arange(M)] = X
+    b = np.zeros((len(labels), M), dtype=np.int8)
+    b[:, :spec.M] = [spec.clusters[k].b for k in labels]
+    beta = np.full(len(labels) + 1, 1.0 / (len(labels) + 1))
+    return oracles.build_state(gibbs.SPARSE_HMM_DP_MMVP, X, Z, Y, b, beta, Hyperparams())
+
+
+def test_assignment_step_cost_does_not_grow_with_the_bins():
+    # both widths are timed in one process, alternately, and the best pass
+    # of each is kept, so the host's speed cancels; with the whole-matrix
+    # scorer a call took about 7x as long at M = 80
+    states = {M: padded_state(M) for M in (10, 80)}
+    best = dict.fromkeys(states, np.inf)
+    for rep in range(7):
+        for M, state in states.items():
+            st, rng = state.clone(), np.random.default_rng(rep)
+            started = time.perf_counter()
+            for t in range(st.T):
+                gibbs.sample_z_hdp(t, st, rng)
+            best[M] = min(best[M], (time.perf_counter() - started) / st.T)
+    assert best[80] <= 2 * best[10], best
