@@ -44,9 +44,30 @@ DEFAULTS = {
 # The settings an aggregated artifact fixes, and its BinningConfig fields.
 _BINNING_FIELDS = {"bins": "M", "slice_secs": "nu", "block_size": "block_size"}
 
+_CHOICES = {"kind": gibbs.ALL_KINDS, "format": ("msr", "plain")}
+
+
+def _check_type(key, value):
+    """ConfigError naming key and value unless value has the type of
+    DEFAULTS[key]: an int is not a bool or a float, a float may be an int,
+    block_size may be null, and kind and format are one of their choices."""
+    default = DEFAULTS[key]
+    if key in _CHOICES:
+        ok, want = value in _CHOICES[key], f"one of {_CHOICES[key]}"
+    elif isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, float):
+        ok, want = type(value) in (int, float), "a number"
+    else:
+        ok = type(value) is int or (default is None and value is None)
+        want = "an integer" if default is not None else "an integer or null"
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+
 
 def _merge_config(args, fixed=None):
-    """Layer file config over defaults, then explicit flags over both.
+    """Layer file config over defaults, then explicit flags over both; every
+    value must have the type of its default (_check_type).
 
     fixed is None or (path, BinningConfig) of the model or artifact a
     command reads: bins, slice_secs and block_size then take its values, and
@@ -63,10 +84,10 @@ def _merge_config(args, fixed=None):
     explicit.update((key, getattr(args, key)) for key in DEFAULTS
                     if getattr(args, key, None) is not None)
     cfg = {**DEFAULTS, **explicit}
-    if cfg["kind"] not in gibbs.ALL_KINDS:
-        raise ConfigError(f"kind must be one of {gibbs.ALL_KINDS}")
+    for key, value in cfg.items():
+        _check_type(key, value)
     nu = cfg["slice_secs"]
-    if type(nu) not in (int, float) or not 0 < nu < math.inf:
+    if not 0 < nu < math.inf:
         raise ConfigError(f"slice_secs must be a positive finite number of "
                           f"seconds, got {nu!r}")
     if fixed is not None:
@@ -211,7 +232,7 @@ def build_parser():
         sp.add_argument("--block-size", type=int, default=None, dest="block_size")
         sp.add_argument("--split", type=float, default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--format", choices=("msr", "plain"), default=None)
+        sp.add_argument("--format", choices=_CHOICES["format"], default=None)
 
     sp = sub.add_parser("aggregate", help="parse + aggregate a trace into a count artifact")
     common(sp)

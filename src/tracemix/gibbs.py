@@ -11,7 +11,8 @@ Bookkeeping is remove-then-add with immediate garbage collection of empty
 clusters.  The defining constraint sum_l Y[t,j,l] == X[t,j] holds after every
 individual update; whenever a slice lands in a cluster whose active set does
 not cover its off-diagonal mass, that mass is folded back onto the diagonals
-(the minimal change preserving row sums).
+(the minimal change preserving row sums).  The sparse kinds' noise pools
+are read off the diagonals of S and LF and n_k, so no update keeps them.
 
 A sweep resamples only the latent pairs (j, l) whose counts X[t,j] and
 X[t,l] are both nonzero.  A zero count forces row j of Y[t] to be all zero,
@@ -127,8 +128,8 @@ class GibbsState:
     sufficient statistics.
 
     S[k] sums the members' Y matrices, LF[k] the matching log(Y!) terms;
-    S_hat/n_hat/LF_hat pool the diagonal counts of inactive dimensions across
-    all clusters.  A state is single-owner: updates mutate it in place.
+    the noise pools S_hat/n_hat/LF_hat are read off them and n_k, never
+    stored.  A state is single-owner: updates mutate it in place.
     moves tallies the split-merge proposals by outcome and the clusters the
     assignment step opens and closes (MOVE_COUNTS) for the diagnostics; it
     is not part of the sampled state.
@@ -149,9 +150,6 @@ class GibbsState:
         self.b = np.zeros((0, M), dtype=np.int8)
         self.beta = np.array([1.0])
         self.n_trans = np.zeros((0, 0), dtype=np.int64)
-        self.S_hat = np.zeros(M, dtype=np.int64)
-        self.n_hat = np.zeros(M, dtype=np.int64)
-        self.LF_hat = np.zeros(M, dtype=float)
         self.m = np.zeros(0, dtype=np.int64)
         self.moves = collections.Counter()
 
@@ -162,6 +160,20 @@ class GibbsState:
     @property
     def M(self):
         return self.X.shape[1]
+
+    # the noise pools: per dimension, the diagonal counts, their log(Y!)
+    # terms and the sizes summed over the clusters where it is inactive
+    @property
+    def S_hat(self):
+        return self.S.diagonal(axis1=1, axis2=2).sum(axis=0, where=self.b == 0)
+
+    @property
+    def n_hat(self):
+        return self.n_k @ (self.b == 0)
+
+    @property
+    def LF_hat(self):
+        return self.LF.diagonal(axis1=1, axis2=2).sum(axis=0, where=self.b == 0)
 
     def clone(self):
         out = GibbsState.__new__(GibbsState)
@@ -177,9 +189,6 @@ class GibbsState:
         out.b = self.b.copy()
         out.beta = self.beta.copy()
         out.n_trans = self.n_trans.copy()
-        out.S_hat = self.S_hat.copy()
-        out.n_hat = self.n_hat.copy()
-        out.LF_hat = self.LF_hat.copy()
         out.m = self.m.copy()
         out.moves = collections.Counter()
         return out
@@ -188,8 +197,8 @@ class GibbsState:
 def recompute_stats(state):
     """Rebuild every sufficient statistic from (X, Z, Y, b) from scratch.
 
-    Returns (n_k, S, LF, n_trans, S_hat, n_hat, LF_hat); used at init and by
-    the coherence checks.
+    Returns (n_k, S, LF, n_trans, S_hat, n_hat, LF_hat); the pools, summed
+    over the slices' Y, are the reference for the ones GibbsState derives.
     """
     T, M = state.X.shape
     K = state.K
@@ -234,8 +243,7 @@ def init_state(data, kind, hp, rng):
 
 
 def _refresh_stats(state):
-    (state.n_k, state.S, state.LF, state.n_trans,
-     state.S_hat, state.n_hat, state.LF_hat) = recompute_stats(state)
+    state.n_k, state.S, state.LF, state.n_trans = recompute_stats(state)[:4]
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +283,6 @@ def _remove_from_cluster(state, t):
     state.S[k] -= Yt
     state.LF[k] -= _UNIT.take(Yt)
     state.n_k[k] -= 1
-    if is_sparse(state.kind):
-        inact = state.b[k] == 0
-        if inact.any():
-            d = Yt.diagonal()[inact]
-            state.S_hat[inact] -= d
-            state.n_hat[inact] -= 1
-            state.LF_hat[inact] -= _UNIT.take(d)
     state.Z[t] = -1
     return k
 
@@ -292,13 +293,6 @@ def _add_to_cluster(state, t, k):
     state.S[k] += Yt
     state.LF[k] += _UNIT.take(Yt)
     state.n_k[k] += 1
-    if is_sparse(state.kind):
-        inact = state.b[k] == 0
-        if inact.any():
-            d = Yt.diagonal()[inact]
-            state.S_hat[inact] += d
-            state.n_hat[inact] += 1
-            state.LF_hat[inact] += _UNIT.take(d)
     state.Z[t] = k
 
 
@@ -342,7 +336,7 @@ def _f_candidates(t, state, aux, home=None):
     collapsed factor, on Y[t] projected onto the row's active set, plus for
     sparse kinds the noise factors of its inactive dimensions, scored on the
     nonzero bins sup of X[t] (module docstring).  With home given, t's Y is
-    still in S[home] and in home's noise pools; n_k must not count it.
+    still in S[home]; n_k must not count it.
     Returns (scores, Yp, sup): Yp holds each row's projection of
     Y[t][sup, sup] for the sparse kinds, else that block itself."""
     hp = state.hp
@@ -378,14 +372,13 @@ def _f_candidates(t, state, aux, home=None):
     P = c if is_diagonal(state.kind) else c * (c + 1) // 2
     out = (gain * fm).sum(axis=(1, 2)) - (a * P + T) * (log_n1 - log_n)
     if sparse:
-        # per-dimension noise predictive is cluster-independent
-        S_hat, n_hat = state.S_hat, state.n_hat
+        # per-dimension noise predictive is cluster-independent; n_k leaves
+        # t out, S[home] holds it, with diagonal X[t] where home is inactive
+        off = act == 0
+        S_hat = diag.sum(axis=0, where=off[:K])
         if home is not None:
-            # on home's inactive dimensions t's latent diagonal is X[t]
-            out_of = state.b[home] == 0
-            S_hat = S_hat - x * out_of
-            n_hat = n_hat - out_of
-        out += (act == 0) @ _log_gain(S_hat, n_hat, x, hp.a_hat, hp.b_hat)
+            S_hat -= x * off[home]
+        out += off @ _log_gain(S_hat, n @ off, x, hp.a_hat, hp.b_hat)
     return out, Yp, sup
 
 
@@ -549,6 +542,11 @@ def sample_b(k, j, state, rng):
     conditional: the collapsed Beta-Bernoulli prior times the collapsed
     likelihood of each side's canonical latent configuration.
 
+    One path prices both directions: while j is inactive the members' row j
+    is diagonal-only, so the active side's formulas hold with nothing to
+    fold.  j's noise pool over the other clusters gains k's members when j
+    is inactive.
+
     Toggling re-projects the members' Y matrices: deactivation folds row and
     column j onto the diagonals, activation leaves row j diagonal-only.  Only
     row j and the diagonals of the members are read or written.
@@ -567,37 +565,22 @@ def sample_b(k, j, state, rng):
     x_j = state.X[members, j]
     sum_x = int(x_j.sum())
     glx = float(_UNIT.take(x_j).sum())
-    diag_mem = state.Y[members[:, None], idx, idx]
     off = state.Y[members, j]           # row j without its diagonal
     off[:, j] = 0
 
-    if cur == 1:
-        s1_jj = state.S[k, j, j]
-        lf1_jj = state.LF[k, j, j]
-        s1_jl = state.S[k, j, others]
-        lf1_jl = state.LF[k, j, others]
-        s1_ll = state.S[k, others, others]
-        lf1_ll = state.LF[k, others, others]
-        s0_ll = s1_ll + off[:, others].sum(axis=0)
-        lf0_ll = lf1_ll + (_UNIT.take(diag_mem[:, others] + off[:, others])
-                           - _UNIT.take(diag_mem[:, others])).sum(axis=0)
-        noise1 = (state.S_hat[j], state.n_hat[j], state.LF_hat[j])
-        noise0 = (state.S_hat[j] + sum_x, state.n_hat[j] + n, state.LF_hat[j] + glx)
-    else:
-        s1_jj = sum_x
-        lf1_jj = glx
-        s1_jl = np.zeros(len(others), dtype=np.int64)
-        lf1_jl = np.zeros(len(others))
-        s1_ll = state.S[k, others, others]
-        lf1_ll = state.LF[k, others, others]
-        s0_ll = s1_ll
-        lf0_ll = lf1_ll
-        noise1 = (state.S_hat[j] - sum_x, state.n_hat[j] - n, state.LF_hat[j] - glx)
-        noise0 = (state.S_hat[j], state.n_hat[j], state.LF_hat[j])
+    s1_ll = state.S[k, others, others]
+    lf1_ll = state.LF[k, others, others]
+    d_o, off_o = state.Y[members[:, None], others, others], off[:, others]
+    s0_ll = s1_ll + off_o.sum(axis=0)
+    lf0_ll = lf1_ll + (_UNIT.take(d_o + off_o) - _UNIT.take(d_o)).sum(axis=0)
+    rest = 1 - state.b[:, j]
+    rest[k] = 0
+    noise1 = (rest @ state.S[:, j, j], rest @ state.n_k, rest @ state.LF[:, j, j])
+    noise0 = (noise1[0] + sum_x, noise1[1] + n, noise1[2] + glx)
 
     a, b = hp.a_bar, hp.b_bar
-    side1 = (log_marginal(s1_jj, n, lf1_jj, a, b)
-             + log_marginal(s1_jl, n, lf1_jl, a, b).sum()
+    side1 = (log_marginal(state.S[k, j, j], n, state.LF[k, j, j], a, b)
+             + log_marginal(state.S[k, j, others], n, state.LF[k, j, others], a, b).sum()
              + log_marginal(s1_ll, n, lf1_ll, a, b).sum()
              + log_marginal(*noise1, hp.a_hat, hp.b_hat))
     side0 = (log_marginal(s0_ll, n, lf0_ll, a, b).sum()
@@ -614,7 +597,7 @@ def sample_b(k, j, state, rng):
     if new == 0:
         # fold row/column j of every member onto the diagonals
         moved = off.sum(axis=1)
-        new_diag = diag_mem + off
+        new_diag = state.Y[members[:, None], idx, idx] + off
         state.Y[members, j] = 0
         state.Y[members, :, j] = 0
         state.Y[members[:, None], idx, idx] = new_diag
@@ -630,14 +613,6 @@ def sample_b(k, j, state, rng):
         state.S[k, idx, idx] += col_moved * keep
         lf_diag = _UNIT.take(new_diag).sum(axis=0)
         state.LF[k, idx[keep], idx[keep]] = lf_diag[keep]
-        state.S_hat[j] += sum_x
-        state.n_hat[j] += n
-        state.LF_hat[j] += glx
-    else:
-        # members' rows are already diagonal-only; only the pools move
-        state.S_hat[j] -= sum_x
-        state.n_hat[j] -= n
-        state.LF_hat[j] -= glx
     state.b[k, j] = new
     return state
 
@@ -691,8 +666,7 @@ def sample_m_beta(state, rng):
 # -log_q >= 0, so no split can be decided before its scan.
 
 def _adopt(state, other):
-    for name in ("Z", "Y", "K", "n_k", "S", "LF", "b", "beta", "n_trans",
-                 "S_hat", "n_hat", "LF_hat", "m"):
+    for name in ("Z", "Y", "K", "n_k", "S", "LF", "b", "beta", "n_trans", "m"):
         setattr(state, name, getattr(other, name))
 
 
@@ -907,21 +881,17 @@ def _live_pairs(state, t):
 class Diagnostics:
     """Per-sweep trace of the run plus completion flags."""
 
-    rows: list = field(default_factory=list)   # (sweep, joint log density, K, wall clock)
-    y_draws: list = field(default_factory=list)  # off-diagonal draws per sweep
-    split_merge_accepted: list = field(default_factory=list)  # per sweep
-    moves: list = field(default_factory=list)  # per sweep, the MOVE_COUNTS
+    # per sweep: (sweep, joint log density, K, wall clock, off-diagonal
+    # draws, split-merge proposals accepted, *the MOVE_COUNTS tallies)
+    rows: list = field(default_factory=list)
     partial: bool = False
 
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write("sweep,joint_log_density,K,wall_clock,y_draws,"
                      f"split_merge_accepted,{','.join(MOVE_COUNTS)}\n")
-            for (sweep, jld, k, wc), n_y, acc, moves in zip(
-                    self.rows, self.y_draws, self.split_merge_accepted,
-                    self.moves, strict=True):
-                fh.write(f"{sweep},{jld:.6f},{k},{wc:.3f},{n_y},{acc},"
-                         f"{','.join(map(str, moves))}\n")
+            for sweep, jld, k, wc, *counts in self.rows:
+                fh.write(f"{sweep},{jld:.6f},{k},{wc:.3f},{','.join(map(str, counts))}\n")
 
 
 def run_gibbs(data, kind, hp=None, cfg=None):
@@ -949,13 +919,10 @@ def run_gibbs(data, kind, hp=None, cfg=None):
                 for j in range(state.M):
                     sample_b(k, j, state, rng)
         accepted = sample_split_merge(state, rng)
-        moves = tuple(state.moves[name] for name in MOVE_COUNTS)
         sample_m_beta(state, rng)
         elapsed = time.monotonic() - started
-        diag.rows.append((sweep, joint_log_density(state), state.K, elapsed))
-        diag.y_draws.append(n_y)
-        diag.split_merge_accepted.append(accepted)
-        diag.moves.append(moves)
+        diag.rows.append((sweep, joint_log_density(state), state.K, elapsed, n_y,
+                          accepted, *(state.moves[name] for name in MOVE_COUNTS)))
         if sweep > cfg.burn_in and (sweep - cfg.burn_in - 1) % cfg.thinning == 0:
             samples.append(state.clone())
         if elapsed > cfg.wall_clock_limit and sweep < cfg.iterations:

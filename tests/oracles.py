@@ -140,8 +140,7 @@ def build_state(kind, X, Z, Y, b, beta, hp):
     state.K = int(state.Z.max()) + 1
     state.b = np.asarray(b, dtype=np.int8).copy()
     state.beta = np.asarray(beta, dtype=float).copy()
-    (state.n_k, state.S, state.LF, state.n_trans,
-     state.S_hat, state.n_hat, state.LF_hat) = gibbs.recompute_stats(state)
+    state.n_k, state.S, state.LF, state.n_trans = gibbs.recompute_stats(state)[:4]
     return state
 
 
@@ -532,13 +531,5 @@ def reference_sample_b(k, j, state, rng):
         new_diag = diag_mem + off
         lf_diag = _UNIT.take(new_diag).sum(axis=0)
         state.LF[k, idx[keep], idx[keep]] = lf_diag[keep]
-        state.S_hat[j] += sum_x
-        state.n_hat[j] += n
-        state.LF_hat[j] += glx
-    else:
-        # members' rows are already diagonal-only; only the pools move
-        state.S_hat[j] -= sum_x
-        state.n_hat[j] -= n
-        state.LF_hat[j] -= glx
     state.b[k, j] = new
     return state

@@ -206,3 +206,48 @@ def test_binning_settings_must_match_the_model_or_artifact(
         assert code == want, err
     assert "config error" in err and key in err
     assert str(value) in err and str(held) in err
+
+
+def config_run_argv(tmp_path, command):
+    """argv of one command on a small trace or artifact in tmp_path; an
+    aggregate needs "format": "plain" from the config file."""
+    if command == "fit":
+        artifact = tmp_path / "counts.npz"
+        save_counts(artifact)
+        return ["fit", "--artifact", str(artifact), "--out", str(tmp_path / "out.npz")]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(f"{t}.0,read,{t * 4096},4096\n" for t in range(0, 120, 7)))
+    return ["aggregate", "--trace", str(trace), "--out", str(tmp_path / "out.npz")]
+
+
+# each value has the wrong type for its key: a string or float for an int,
+# a bool for an int or float, anything but true or false for per_block, and
+# a name outside the choices for format and kind
+@pytest.mark.parametrize("command, key, value", [
+    ("fit", "iters", "3"), ("aggregate", "bins", 10.5), ("aggregate", "split", "0.5"),
+    ("aggregate", "block_size", "4096"), ("fit", "wall_clock_secs", "60"),
+    ("fit", "chains", True), ("aggregate", "per_block", "no"),
+    ("aggregate", "format", "xyz"), ("aggregate", "bins", True),
+    ("aggregate", "block_size", 4096.0), ("aggregate", "slice_secs", False),
+    ("fit", "seed", 1.5), ("fit", "kind", 3)])
+def test_config_file_values_must_have_the_type_of_their_default(
+        tmp_path, capsys, command, key, value):
+    argv = config_run_argv(tmp_path, command)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "plain", key: value}))
+    code = cli.main(["--config", str(config)] + argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG, err
+    assert f"config error: {key} must be" in err and repr(value) in err
+    assert not (tmp_path / "out.npz").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("aggregate", {"block_size": None, "per_block": True, "slice_secs": 30}),
+    ("fit", {"wall_clock_secs": 60, "iters": 2, "burn_in": 1, "chains": 1})])
+def test_config_file_takes_an_int_for_a_float_and_null_for_block_size(
+        tmp_path, capsys, command, config):
+    argv = config_run_argv(tmp_path, command)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"format": "plain", **config}))
+    assert cli.main(["--config", str(path)] + argv) == cli.EXIT_OK, capsys.readouterr().err

@@ -93,8 +93,9 @@ def test_sweep_updates_exactly_the_live_pairs(kind, monkeypatch):
     assert len(events) == 3 * len(X)
     for _, live, updated in events:
         assert updated == live
-    assert sum(len(e[2]) for e in events) == sum(diag.y_draws)
-    assert sum(e[0] for e in events) > sum(diag.y_draws) > 0
+    y_draws = sum(row[4] for row in diag.rows)
+    assert sum(len(e[2]) for e in events) == y_draws
+    assert sum(e[0] for e in events) > y_draws > 0
 
 
 # ---------------------------------------------------------------------------
