@@ -231,7 +231,6 @@ def build_parser():
         sp.add_argument("--slice-secs", type=float, default=None, dest="slice_secs")
         sp.add_argument("--block-size", type=int, default=None, dest="block_size")
         sp.add_argument("--split", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--format", choices=_CHOICES["format"], default=None)
 
     sp = sub.add_parser("aggregate", help="parse + aggregate a trace into a count artifact")
@@ -250,6 +249,7 @@ def build_parser():
     sp.add_argument("--thin", type=int, default=None)
     sp.add_argument("--wall-clock-secs", type=float, default=None, dest="wall_clock_secs")
     sp.add_argument("--chains", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--artifact", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--diagnostics")

@@ -44,6 +44,7 @@ Poisson-Gamma predictive gain.
 
 import bisect
 import collections
+import copy
 import functools
 import itertools
 import math
@@ -73,6 +74,10 @@ _B_INIT_MEAN = 0.25
 _N_AUX = 5
 
 _BETA_FLOOR = 1e-12
+
+# a latent-pair draw over at least this many values runs in numpy, where
+# its cost stops growing with the support; shorter ones are cheaper in Python
+_LONG_SUPPORT = 32
 
 
 def _log_gain(S, n, y, shape, rate):
@@ -200,8 +205,7 @@ def recompute_stats(state):
     Returns (n_k, S, LF, n_trans, S_hat, n_hat, LF_hat); the pools, summed
     over the slices' Y, are the reference for the ones GibbsState derives.
     """
-    T, M = state.X.shape
-    K = state.K
+    M, K = state.M, state.K
     n_k = np.bincount(state.Z, minlength=K).astype(np.int64)
     S = np.zeros((K, M, M), dtype=np.int64)
     LF = np.zeros((K, M, M), dtype=float)
@@ -210,15 +214,21 @@ def recompute_stats(state):
         sel = state.Z == k
         S[k] = state.Y[sel].sum(axis=0)
         LF[k] = gl[sel].sum(axis=0)
-    n_trans = np.zeros((K, K), dtype=np.int64)
-    if is_temporal(state.kind) and T > 1:
-        np.add.at(n_trans, (state.Z[:-1], state.Z[1:]), 1)
+    n_trans = (_count_transitions(state.Z, K) if is_temporal(state.kind)
+               else np.zeros((K, K), dtype=np.int64))
     diag = np.einsum("tjj->tj", state.Y)
     inact = (1 - state.b[state.Z]).astype(np.int64)
     S_hat = (diag * inact).sum(axis=0)
     n_hat = inact.sum(axis=0)
     LF_hat = (_UNIT.take(diag) * inact).sum(axis=0)
     return n_k, S, LF, n_trans, S_hat, n_hat, LF_hat
+
+
+def _count_transitions(Z, K):
+    """The K x K counts of the transitions k -> k' along Z."""
+    n_trans = np.zeros((K, K), dtype=np.int64)
+    np.add.at(n_trans, (Z[:-1], Z[1:]), 1)
+    return n_trans
 
 
 def init_state(data, kind, hp, rng):
@@ -238,12 +248,8 @@ def init_state(data, kind, hp, rng):
     else:
         state.b = np.ones((1, M), dtype=np.int8)
     state.beta = np.array([0.5, 0.5])
-    _refresh_stats(state)
-    return state
-
-
-def _refresh_stats(state):
     state.n_k, state.S, state.LF, state.n_trans = recompute_stats(state)[:4]
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +503,13 @@ def _sample_z(t, state, rng):
 
 def sample_y(t, j, l, state, rng):
     """Resample the off-diagonal latent Y[t,j,l], enumerating its finite
-    support and re-deriving the two diagonals to keep row sums intact."""
+    support and re-deriving the two diagonals to keep row sums intact.
+
+    v moves from both diagonals onto the pair.  Summed over the j-l, j-j and
+    l-l factors without slice t, the _log_gain terms that depend on v are
+    three contiguous runs of the lgamma grids, the pair's read forwards and
+    the diagonals' backwards, and one v * log(b_bar + n_k) rate term; the
+    rest cancels in the draw."""
     if j >= l:
         raise ValueError("need j < l")
     if is_diagonal(state.kind):
@@ -512,25 +524,38 @@ def sample_y(t, j, l, state, rng):
     dl = int(Yt[l, l])
     rj = y0 + dj
     rl = y0 + dl
-    v = np.arange(min(rj, rl) + 1, dtype=np.int64)
-    # v moves from both diagonals onto the pair: the gains of the j-l, j-j
-    # and l-l factors without slice t; the terms free of v cancel in the draw
-    S = np.array([[int(state.S[k, j, l]) - y0], [int(state.S[k, j, j]) - dj],
-                  [int(state.S[k, l, l]) - dl]])
-    lw = _log_gain(S, int(state.n_k[k]) - 1, np.array([v, rj - v, rl - v]),
-                   hp.a_bar, hp.b_bar).sum(axis=0)
-    pick = int(v[_categorical_from_log(lw.tolist(), rng)])
+    V = min(rj, rl) + 1
+    Sk = state.S[k]
+    sp = int(Sk[j, l]) - y0         # the pair's sum without slice t
+    tj = int(Sk[j, j]) + y0         # each diagonal's sum with t at v = 0
+    tl = int(Sk[l, l]) + y0
+    g = _grid(hp.a_bar)
+    for grid, top in ((g, max(sp + V - 1, tj, tl)), (_UNIT, max(rj, rl))):
+        if top >= len(grid.vals):
+            grid.take(top)              # grows the grid to cover top
+    gv, uv = g.vals, _UNIT.vals
+    lw = (gv[sp:sp + V] + gv[tj - V + 1:tj + 1][::-1] + gv[tl - V + 1:tl + 1][::-1]
+          - uv[:V] - uv[rj - V + 1:rj + 1][::-1] - uv[rl - V + 1:rl + 1][::-1]
+          + math.log(hp.b_bar + int(state.n_k[k])) * np.arange(V))
+    if V < _LONG_SUPPORT:
+        pick = _categorical_from_log(lw.tolist(), rng)
+    else:
+        # the same draw from one uniform, in numpy
+        cum = np.exp(lw - lw.max()).cumsum()
+        pick = min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), V - 1)
     if pick != y0:
         new_dj = rj - pick
         new_dl = rl - pick
-        # log y! of the new pair and diagonal values, then of the old ones
-        g = _UNIT.take((pick, new_dj, new_dl, y0, dj, dl)).tolist()
-        for (r, c, old, new, d_lf) in ((j, l, y0, pick, g[0] - g[3]),
-                                       (l, j, y0, pick, g[0] - g[3]),
-                                       (j, j, dj, new_dj, g[1] - g[4]),
-                                       (l, l, dl, new_dl, g[2] - g[5])):
-            state.S[k, r, c] += new - old
-            state.LF[k, r, c] += d_lf
+        d_pair = float(uv[pick] - uv[y0])
+        Sk[j, l] += pick - y0
+        Sk[l, j] += pick - y0
+        Sk[j, j] += y0 - pick
+        Sk[l, l] += y0 - pick
+        LFk = state.LF[k]
+        LFk[j, l] += d_pair
+        LFk[l, j] += d_pair
+        LFk[j, j] += float(uv[new_dj] - uv[dj])
+        LFk[l, l] += float(uv[new_dl] - uv[dl])
         Yt[j, l] = Yt[l, j] = pick
         Yt[j, j] = new_dj
         Yt[l, l] = new_dl
@@ -664,11 +689,13 @@ def sample_m_beta(state, rng):
 # only when the first test passes, is therefore the same function of (u,
 # launch) as before, and the kernel is unchanged.  A split's ratio carries
 # -log_q >= 0, so no split can be decided before its scan.
-
-def _adopt(state, other):
-    for name in ("Z", "Y", "K", "n_k", "S", "LF", "b", "beta", "n_trans", "m"):
-        setattr(state, name, getattr(other, name))
-
+#
+# No split or merge changes a latent Y, so the candidate shares Y with the
+# live state and copies Z alone.  Its S, LF and n_k differ from the state's
+# only by the moved slices: a merge adds kj's sums into ki, a split sums the
+# moved members' Y and log Y! into the new cluster and takes them out of ki.
+# The temporal kinds recount n_trans from the candidate's Z.  Each proposal
+# costs O(K*M^2 + n*M^2 + T) for n moved slices, not a full recompute.
 
 _LAUNCH_SCANS = 1
 
@@ -768,8 +795,10 @@ def _one_split_merge(state, rng, jld_cur):
     jld_cur; returns the new density when accepted, else None.  A merge draws
     its uniform before pricing the reverse split and is rejected unpriced
     when the density ratio alone fails it; this is exact because the price
-    is never positive and the uniform is independent of the scan's draws
-    (see the split-merge comment block)."""
+    is never positive and the uniform is independent of the scan's draws.
+    The candidate shares Y with state, and its statistics are the state's
+    moved by the slices that change cluster (see the split-merge comment
+    block); a rejected proposal leaves state untouched."""
     T = state.T
     if T < 2 or (state.K == 1 and state.n_k[0] < 2):
         return None
@@ -784,18 +813,32 @@ def _one_split_merge(state, rng, jld_cur):
     mask = _pair_mask(state.kind, state.b[ki], state.M)
     members = np.flatnonzero((state.Z == ki) | (state.Z == kj))
     order = members[(members != i) & (members != j)]
-    cand = state.clone()
+    # shares X, Y and m with state; every array the move changes is replaced
+    cand = copy.copy(state)
+    cand.Z = state.Z.copy()
     if ki == kj:
         # propose a split seeded at i and j
         log_q, sides = _allocation_scan(state, mask, order, i, j, rng)
-        new_k = _create_cluster(cand, cand.b[ki], rng)
-        cand.Z[j] = new_k
-        cand.Z[order[~sides]] = new_k
+        new_k = _create_cluster(cand, state.b[ki], rng)
+        moved = np.sort(np.append(order[~sides], j))
+        Ym = state.Y[moved]
+        cand.Z[moved] = new_k
+        cand.n_k[new_k] = len(moved)
+        cand.S[new_k] = Ym.sum(axis=0)
+        cand.LF[new_k] = _UNIT.take(Ym).sum(axis=0)
+        cand.n_k[ki] -= len(moved)
+        cand.S[ki] -= cand.S[new_k]
+        cand.LF[ki] -= cand.LF[new_k]
     else:
         # propose the merge
         cand.Z[cand.Z == kj] = ki
         _delete_cluster(cand, kj)
-    _refresh_stats(cand)
+        k = ki - (ki > kj)
+        cand.n_k[k] += state.n_k[kj]
+        cand.S[k] += state.S[kj]
+        cand.LF[k] += state.LF[kj]
+    if is_temporal(state.kind):
+        cand.n_trans = _count_transitions(cand.Z, cand.K)
     jld_cand = joint_log_density(cand)
     log_u = np.log(rng.random())
     if ki == kj:
@@ -808,7 +851,7 @@ def _one_split_merge(state, rng, jld_cur):
         log_q, _ = _allocation_scan(state, mask, order, i, j, rng,
                                     actual_sides=state.Z[order] == ki)
     if log_u < jld_cand - jld_cur + log_q:
-        _adopt(state, cand)
+        vars(state).update(vars(cand))
         state.moves["splits_accepted"] += ki == kj
         return jld_cand
     return None

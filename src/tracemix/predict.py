@@ -82,8 +82,8 @@ def estimate_params(samples) -> FittedModel:
 
     Rates and transitions are the means of their collapsed conditionals given
     the final sample's configuration (cross-sample averaging is ill-defined
-    under label switching); activity is the thresholded mean over the trailing
-    samples that share the final cluster count.
+    under label switching); activity is the thresholded mean over the samples
+    whose K and Z are identical to the final sample's, wherever they fall.
     """
     if not samples:
         raise ValueError("need at least one posterior sample")

@@ -251,3 +251,27 @@ def test_config_file_takes_an_int_for_a_float_and_null_for_block_size(
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"format": "plain", **config}))
     assert cli.main(["--config", str(path)] + argv) == cli.EXIT_OK, capsys.readouterr().err
+
+
+# only fit draws random numbers; gen-trace takes its own --seed
+@pytest.mark.parametrize("argv", [
+    ["aggregate", "--trace", "t.csv", "--out", "c.npz"],
+    ["eval", "--artifact", "c.npz", "--models", "m.npz"],
+    ["simulate", "--trace", "t.csv", "--model", "m.npz"]])
+def test_only_fit_takes_a_seed_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "1"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_a_config_file_seed_feeds_fit(tmp_path):
+    argv = config_run_argv(tmp_path, "fit") + ["--iters", "3", "--burn-in", "1",
+                                               "--kind", "dp-mip"]
+    models = {}
+    for name, extra in (("flag", ["--seed", "5"]), ("file", []), ("default", [])):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5} if name == "file" else {}))
+        assert cli.main(["--config", str(config)] + argv + extra) == cli.EXIT_OK
+        models[name] = (tmp_path / "out.npz").read_bytes()
+    assert models["file"] == models["flag"] != models["default"]

@@ -259,6 +259,33 @@ def test_sample_y_matches_enumeration():
         assert freqs.get(v, 0.0) == pytest.approx(probs[v], abs=TOL), v
 
 
+def test_sample_y_matches_enumeration_on_a_wide_support():
+    # four values, v in {0, 1, 2, 3}, and a second member with mass on the
+    # pair and both diagonals, so each of the sampler's three lgamma runs
+    # starts inside its grid; a_bar != 1 keeps that grid apart from log y!
+    hp = Hyperparams(a_bar=1.5, b_bar=0.5)
+    X = np.array([[4, 3], [5, 4]])
+    Z = np.array([0, 0])
+    Y = np.array([[[3, 1], [1, 2]],
+                  [[3, 2], [2, 2]]])
+    state = oracles.build_state(gibbs.DP_MMVP, X, Z, Y, [[1, 1]],
+                                [0.5, 0.5], hp)
+    def config(v):
+        Yc = Y.copy()
+        Yc[0] = [[4 - v, v], [v, 3 - v]]
+        return Yc
+    support = range(4)
+    logps = [oracles.full_joint(X, Z, config(v), [[1, 1]], state.beta, hp,
+                                temporal=False, sparse=False, diag=False)
+             for v in support]
+    probs = normalized(logps)
+    freqs = empirical_outcomes(
+        state, lambda st, rng: gibbs.sample_y(0, 0, 1, st, rng),
+        lambda st: int(st.Y[0, 0, 1]), seed=10)
+    for v in support:
+        assert freqs.get(v, 0.0) == pytest.approx(probs[v], abs=TOL), v
+
+
 def test_sample_y_row_sums_after_moves():
     hp = Hyperparams()
     rng = np.random.default_rng(8)

@@ -40,7 +40,9 @@ def fuzz_data(T=12, M=3, seed=0):
     (gibbs.SPARSE_HMM_DP_MMVP, 200),
     (gibbs.HMM_DP_MMVP, 60),
     (gibbs.SPARSE_DP_MMVP, 60),
+    (gibbs.DP_MMVP, 60),
     (gibbs.DP_MIP, 60),
+    (gibbs.HMM_DP_MIP, 60),
 ])
 def test_invariants_after_every_update(kind, sweeps):
     data = fuzz_data(seed=3)

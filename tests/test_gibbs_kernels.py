@@ -10,21 +10,23 @@ import time
 import numpy as np
 import pytest
 
-from tracemix import gibbs, synth
+from tracemix import gibbs, models, synth
 from tracemix.models import Hyperparams
 
 import oracles
 
 
-def random_state(kind, seed, T=48, M=6, K=3, zero_frac=0.35):
-    """A state with planted zero counts, random activity (sparse kinds) and
-    random off-diagonal mass on the active pairs."""
+def random_state(kind, seed, T=48, M=6, K=3, zero_frac=0.35, shared_b=False):
+    """A state with planted zero counts, random activity (sparse kinds; one
+    row for every cluster with shared_b) and random off-diagonal mass on the
+    active pairs."""
     rng = np.random.default_rng(seed)
     X = rng.poisson(3.0, size=(T, M))
     X[rng.random((T, M)) < zero_frac] = 0
     Z = rng.permutation(np.arange(T) % K)
     if gibbs.is_sparse(kind):
-        b = (rng.random((K, M)) < 0.7).astype(np.int8)
+        b = (rng.random((1 if shared_b else K, M)) < 0.7).astype(np.int8)
+        b = np.repeat(b, K // len(b), axis=0)
     else:
         b = np.ones((K, M), dtype=np.int8)
     Y = np.zeros((T, M, M), dtype=np.int64)
@@ -197,6 +199,39 @@ def test_split_merge_carries_the_adopted_density(kind, monkeypatch):
     assert len(outcomes) == 40
 
 
+STATE_ARRAYS = ("Z", "Y", "S", "LF", "n_k", "b", "beta", "n_trans")
+
+
+@pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
+def test_a_rejected_proposal_leaves_the_state_bit_identical(kind, monkeypatch):
+    # the candidate shares Y with the live state, so a write through it
+    # would show here; only proposals that built a candidate are counted
+    state = random_state(kind, seed=6, T=40, K=4, shared_b=True)
+    built = []
+    real = gibbs.joint_log_density
+
+    def counted(st):
+        built.append(st)
+        return real(st)
+
+    monkeypatch.setattr(gibbs, "joint_log_density", counted)
+    rng = np.random.default_rng(1)
+    rejected = {"split": 0, "merge": 0}
+    for _ in range(80):
+        before = {name: getattr(state, name).copy() for name in STATE_ARRAYS}
+        splits, K = state.moves["splits_proposed"], state.K
+        built.clear()
+        if gibbs._one_split_merge(state, rng, real(state)) is not None:
+            continue
+        for name, arr in before.items():
+            now = getattr(state, name)
+            assert now.dtype == arr.dtype and now.tobytes() == arr.tobytes(), name
+        assert state.K == K
+        if built:
+            rejected["split" if state.moves["splits_proposed"] > splits else "merge"] += 1
+    assert min(rejected.values()) > 0, rejected
+
+
 # ---------------------------------------------------------------------------
 # the assignment scorer on the slice's support
 
@@ -364,3 +399,46 @@ def test_assignment_step_cost_does_not_grow_with_the_bins():
                 gibbs.sample_z_hdp(t, st, rng)
             best[M] = min(best[M], (time.perf_counter() - started) / st.T)
     assert best[80] <= 2 * best[10], best
+
+
+# ---------------------------------------------------------------------------
+# a latent-pair draw costs about the same at ten times the counts
+
+def recovery_state(scale, T=120):
+    """dp-mmvp on the recovery fixture's first T slices with every rate
+    scaled by scale, at the planted clusters, after three untimed passes
+    over the live pairs so the latents are spread off the diagonals."""
+    spec = synth.default_recovery_spec(seed=0)
+    spec.clusters = [models.SMVPParams(c.Lambda * scale, c.lambda_hat * scale, c.b)
+                     for c in spec.clusters]
+    seq, Z = synth.gen_count_sequence(spec)
+    X = seq.X[:T]
+    labels, Z = np.unique(Z[:T], return_inverse=True)
+    Y = np.zeros((T, spec.M, spec.M), dtype=np.int64)
+    Y[:, np.arange(spec.M), np.arange(spec.M)] = X
+    state = oracles.build_state(gibbs.DP_MMVP, X, Z, Y, np.ones((len(labels), spec.M)),
+                                np.full(len(labels) + 1, 1.0 / (len(labels) + 1)),
+                                Hyperparams())
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        for t in range(T):
+            for j, l in gibbs._live_pairs(state, t):
+                gibbs.sample_y(t, j, l, state, rng)
+    return state
+
+
+def test_sample_y_cost_does_not_grow_with_the_counts():
+    # both scales are timed in one process, alternately, and the best pass
+    # of each is kept; a Python loop over the support took about 2x as long
+    # per call at 10x the counts
+    states = {scale: recovery_state(scale) for scale in (1, 10)}
+    best = dict.fromkeys(states, np.inf)
+    for rep in range(7):
+        for scale, state in states.items():
+            st, rng = state.clone(), np.random.default_rng(rep)
+            pairs = [(t, j, l) for t in range(st.T) for j, l in gibbs._live_pairs(st, t)]
+            started = time.perf_counter()
+            for t, j, l in pairs:
+                gibbs.sample_y(t, j, l, st, rng)
+            best[scale] = min(best[scale], (time.perf_counter() - started) / len(pairs))
+    assert best[10] <= 1.5 * best[1], best
