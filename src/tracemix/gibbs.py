@@ -75,10 +75,6 @@ _N_AUX = 5
 
 _BETA_FLOOR = 1e-12
 
-# a latent-pair draw over at least this many values runs in numpy, where
-# its cost stops growing with the support; shorter ones are cheaper in Python
-_LONG_SUPPORT = 32
-
 
 def _log_gain(S, n, y, shape, rate):
     """Log predictive of adding counts y to a Gamma(shape, rate)-collapsed
@@ -530,19 +526,16 @@ def sample_y(t, j, l, state, rng):
     tj = int(Sk[j, j]) + y0         # each diagonal's sum with t at v = 0
     tl = int(Sk[l, l]) + y0
     g = _grid(hp.a_bar)
-    for grid, top in ((g, max(sp + V - 1, tj, tl)), (_UNIT, max(rj, rl))):
-        if top >= len(grid.vals):
-            grid.take(top)              # grows the grid to cover top
+    g.take(max(sp + V - 1, tj, tl))     # grow each grid to cover its runs
+    _UNIT.take(max(rj, rl))
     gv, uv = g.vals, _UNIT.vals
     lw = (gv[sp:sp + V] + gv[tj - V + 1:tj + 1][::-1] + gv[tl - V + 1:tl + 1][::-1]
           - uv[:V] - uv[rj - V + 1:rj + 1][::-1] - uv[rl - V + 1:rl + 1][::-1]
           + math.log(hp.b_bar + int(state.n_k[k])) * np.arange(V))
-    if V < _LONG_SUPPORT:
-        pick = _categorical_from_log(lw.tolist(), rng)
-    else:
-        # the same draw from one uniform, in numpy
-        cum = np.exp(lw - lw.max()).cumsum()
-        pick = min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), V - 1)
+    # argmax and add.accumulate skip the reduction and method wrappers that
+    # max() and cumsum() pay on these short runs
+    cum = np.add.accumulate(np.exp(lw - lw[lw.argmax()]))
+    pick = min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), V - 1)
     if pick != y0:
         new_dj = rj - pick
         new_dl = rl - pick
