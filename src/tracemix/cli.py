@@ -5,6 +5,15 @@ the usual desk setup (10 bins, 30 s slices, 50% split, 5% cache) and can be
 overridden by a JSON config file and/or flags; explicit flags win.  fit, eval
 and simulate take the bins, slice length and block size of the artifact or
 model they read, and refuse an explicit setting that differs.
+
+Importing this module loads only what the parser and the config checks
+need.  Each command imports the modules it runs when it starts, so a process
+never loads code its command does not call: aggregate loads neither the
+sampler nor the simulator, simulate not the sampler, gen-trace only the
+generator and the ingest types it writes.  Commands call through module
+attributes (gibbs.run_gibbs, never a name bound by ``from .gibbs import``):
+the benchmark's traced run times a layer by replacing the attribute on its
+module, and a bound name would bypass it.
 """
 
 import argparse
@@ -13,9 +22,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import cachesim, gibbs, ingest, predict, synth
 from .errors import ConfigError, TraceParseError
-from .models import Hyperparams
+from .models import ALL_KINDS, SPARSE_HMM_DP_MMVP, Hyperparams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,7 +37,7 @@ DEFAULTS = {
     "block_size": None,
     "split": 0.5,
     "cache_frac": 0.05,
-    "kind": gibbs.SPARSE_HMM_DP_MMVP,
+    "kind": SPARSE_HMM_DP_MMVP,
     "iters": 200,
     "burn_in": 100,
     "thin": 1,
@@ -44,7 +52,7 @@ DEFAULTS = {
 # The settings an aggregated artifact fixes, and its BinningConfig fields.
 _BINNING_FIELDS = {"bins": "M", "slice_secs": "nu", "block_size": "block_size"}
 
-_CHOICES = {"kind": gibbs.ALL_KINDS, "format": ("msr", "plain")}
+_CHOICES = {"kind": ALL_KINDS, "format": ("msr", "plain")}
 
 
 def _check_type(key, value):
@@ -101,13 +109,9 @@ def _merge_config(args, fixed=None):
     return cfg
 
 
-def _fit_config(cfg, seed):
-    return gibbs.FitConfig(iterations=cfg["iters"], burn_in=cfg["burn_in"],
-                           thinning=cfg["thin"],
-                           wall_clock_limit=cfg["wall_clock_secs"], seed=seed)
-
-
 def cmd_aggregate(args):
+    from . import ingest
+
     cfg = _merge_config(args)
     block_size = cfg["block_size"]
     trace = ingest.parse_trace(args.trace, format_id=cfg["format"],
@@ -126,6 +130,8 @@ def cmd_aggregate(args):
 
 
 def cmd_fit(args):
+    from . import gibbs, ingest, predict
+
     seq = ingest.load_artifact(args.artifact)
     cfg = _merge_config(args, (args.artifact, seq.config))
     if cfg["chains"] < 1:
@@ -134,8 +140,11 @@ def cmd_fit(args):
     hp = Hyperparams()
     best = None
     for chain in range(cfg["chains"]):
-        samples, diag = gibbs.run_gibbs(learn, cfg["kind"], hp,
-                                        _fit_config(cfg, cfg["seed"] + chain))
+        fit_config = gibbs.FitConfig(iterations=cfg["iters"], burn_in=cfg["burn_in"],
+                                     thinning=cfg["thin"],
+                                     wall_clock_limit=cfg["wall_clock_secs"],
+                                     seed=cfg["seed"] + chain)
+        samples, diag = gibbs.run_gibbs(learn, cfg["kind"], hp, fit_config)
         score = diag.rows[-1][1]
         if best is None or score > best[0]:
             best = (score, samples, diag)
@@ -153,6 +162,8 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
+    from . import gibbs, ingest, predict
+
     seq = ingest.load_artifact(args.artifact)
     cfg = _merge_config(args, (args.artifact, seq.config))
     _, operate = ingest.split_learn_operate(seq, cfg["split"])
@@ -175,6 +186,8 @@ def cmd_eval(args):
 
 
 def cmd_simulate(args):
+    from . import cachesim, ingest, predict
+
     model, access_map, binning = predict.load_model(args.model)
     cfg = _merge_config(args, (args.model, binning))
     trace = ingest.parse_trace(args.trace, format_id=cfg["format"],
@@ -210,6 +223,8 @@ def cmd_simulate(args):
 
 
 def cmd_gen_trace(args):
+    from . import synth
+
     spec = synth.spec_from_json(args.spec) if args.spec else synth.default_trace_spec()
     if args.seed is not None:
         spec.seed = args.seed
@@ -243,7 +258,7 @@ def build_parser():
 
     sp = sub.add_parser("fit", help="fit a model on the learning half of an artifact")
     common(sp)
-    sp.add_argument("--kind", choices=gibbs.ALL_KINDS, default=None)
+    sp.add_argument("--kind", choices=ALL_KINDS, default=None)
     sp.add_argument("--iters", type=int, default=None)
     sp.add_argument("--burn-in", type=int, default=None, dest="burn_in")
     sp.add_argument("--thin", type=int, default=None)

@@ -40,6 +40,10 @@ the statistics move only when the draw moves it.
 Every predictive the sampler evaluates, for an existing cluster, a new one,
 the noise pools or a latent pair, is a sum of _log_gain terms, the one
 Poisson-Gamma predictive gain.
+
+The six kind names, ALL_KINDS and the is_temporal / is_sparse / is_diagonal
+predicates live in models, so that reading a model file or checking a
+command's --kind loads no sampler code; they are imported here as well.
 """
 
 import bisect
@@ -54,17 +58,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .models import _UNIT, Hyperparams, _grid, log_marginal, log_poisson
-
-DP_MIP = "dp-mip"
-DP_MMVP = "dp-mmvp"
-HMM_DP_MIP = "hmm-dp-mip"
-HMM_DP_MMVP = "hmm-dp-mmvp"
-SPARSE_DP_MMVP = "sparse-dp-mmvp"
-SPARSE_HMM_DP_MMVP = "sparse-hmm-dp-mmvp"
-
-ALL_KINDS = (DP_MIP, DP_MMVP, HMM_DP_MIP, HMM_DP_MMVP,
-             SPARSE_DP_MMVP, SPARSE_HMM_DP_MMVP)
+from .models import (_UNIT, Hyperparams, _grid, check_kind, is_diagonal,
+                     is_sparse, is_temporal, log_marginal, log_poisson)
+# the kind names, read here by the sampler's callers as gibbs.DP_MMVP etc.
+from .models import (ALL_KINDS, DP_MIP, DP_MMVP, HMM_DP_MIP,  # noqa: F401
+                     HMM_DP_MMVP, SPARSE_DP_MMVP, SPARSE_HMM_DP_MMVP)
 
 # dimensions whose empirical mean exceeds this start out active
 _B_INIT_MEAN = 0.25
@@ -86,23 +84,6 @@ def _log_gain(S, n, y, shape, rate):
             - (shape + S + y) * np.log(rate + n + 1.0)
             + (shape + S) * np.log(rate + n)
             - _UNIT.take(y))
-
-
-def is_temporal(kind):
-    return kind in (HMM_DP_MIP, HMM_DP_MMVP, SPARSE_HMM_DP_MMVP)
-
-
-def is_sparse(kind):
-    return kind in (SPARSE_DP_MMVP, SPARSE_HMM_DP_MMVP)
-
-
-def is_diagonal(kind):
-    return kind in (DP_MIP, HMM_DP_MIP)
-
-
-def _check_kind(kind):
-    if kind not in ALL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {ALL_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +118,7 @@ class GibbsState:
     """
 
     def __init__(self, kind, hp, X):
-        _check_kind(kind)
+        check_kind(kind)
         self.kind = kind
         self.hp = hp
         self.X = np.asarray(X, dtype=np.int64)
@@ -230,7 +211,7 @@ def _count_transitions(Z, K):
 def init_state(data, kind, hp, rng):
     """Start from one cluster, diagonal Y (so row sums hold by construction)
     and activity set by thresholding the empirical bin means."""
-    _check_kind(kind)
+    check_kind(kind)
     X = np.asarray(data.X if hasattr(data, "X") else data, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("need a non-empty T x M count array")

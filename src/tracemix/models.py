@@ -13,6 +13,11 @@ argument is a fixed offset (a hyperparameter shape, or 1 for log y!) plus a
 non-negative integer count, so it is a lookup into the ``_GammalnGrid`` of
 that offset, kept here.  The one exception, alpha * beta + n in the temporal
 joint density, calls ``math.lgamma`` directly.
+
+The six model kinds are named here too, with ALL_KINDS and the predicates
+that split them by assignment prior and emission model: the sampler, the
+point estimates and the command line's --kind all read them from this
+module, which imports no sampler code.
 """
 
 import functools
@@ -56,6 +61,34 @@ def _grid(offset):
 
 
 _UNIT = _grid(1.0)      # lgamma(1 + y) = log y!
+
+
+DP_MIP = "dp-mip"
+DP_MMVP = "dp-mmvp"
+HMM_DP_MIP = "hmm-dp-mip"
+HMM_DP_MMVP = "hmm-dp-mmvp"
+SPARSE_DP_MMVP = "sparse-dp-mmvp"
+SPARSE_HMM_DP_MMVP = "sparse-hmm-dp-mmvp"
+
+ALL_KINDS = (DP_MIP, DP_MMVP, HMM_DP_MIP, HMM_DP_MMVP,
+             SPARSE_DP_MMVP, SPARSE_HMM_DP_MMVP)
+
+
+def is_temporal(kind):
+    return kind in (HMM_DP_MIP, HMM_DP_MMVP, SPARSE_HMM_DP_MMVP)
+
+
+def is_sparse(kind):
+    return kind in (SPARSE_DP_MMVP, SPARSE_HMM_DP_MMVP)
+
+
+def is_diagonal(kind):
+    return kind in (DP_MIP, HMM_DP_MIP)
+
+
+def check_kind(kind):
+    if kind not in ALL_KINDS:
+        raise ValueError(f"kind {kind!r} is not one of {ALL_KINDS}")
 
 
 @dataclass(frozen=True)

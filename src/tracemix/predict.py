@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import BinningConfig, decode_sets, distinct, encode_sets, load_npz
-from .models import Hyperparams, SMVPParams, log_poisson, mu_from_params
-from . import gibbs
+from .models import (Hyperparams, SMVPParams, check_kind, is_diagonal, is_sparse,
+                     is_temporal, log_poisson, mu_from_params)
 
 MODEL_VERSION = 1
 
@@ -35,6 +35,7 @@ class FittedModel:
     kind: str
 
     def __post_init__(self):
+        check_kind(self.kind)
         self.pi = np.asarray(self.pi, dtype=float)
         self.pi0 = np.asarray(self.pi0, dtype=float)
         self.mu = np.asarray(self.mu, dtype=float)
@@ -92,7 +93,7 @@ def estimate_params(samples) -> FittedModel:
     K, M = final.K, final.M
     kind = final.kind
 
-    if gibbs.is_sparse(kind):
+    if is_sparse(kind):
         # average activity only over samples sharing the final labeling;
         # cluster ids switch across unrelated samples and would scramble rows
         rows = [s.b for s in samples
@@ -102,9 +103,9 @@ def estimate_params(samples) -> FittedModel:
         b_pt = np.ones((K, M), dtype=np.int8)
 
     lam = (hp.a_bar + final.S.astype(float)) / (hp.b_bar + final.n_k.astype(float)[:, None, None])
-    if gibbs.is_diagonal(kind):
+    if is_diagonal(kind):
         mask = np.broadcast_to(np.eye(M, dtype=bool), lam.shape)
-    elif gibbs.is_sparse(kind):
+    elif is_sparse(kind):
         mask = np.stack([np.outer(r, r).astype(bool) for r in b_pt])
     else:
         mask = np.ones(lam.shape, dtype=bool)
@@ -113,7 +114,7 @@ def estimate_params(samples) -> FittedModel:
     lam_hat = (hp.a_hat + final.S_hat.astype(float)) / (hp.b_hat + final.n_hat.astype(float))
 
     beta_k = final.beta[:K]
-    if gibbs.is_temporal(kind):
+    if is_temporal(kind):
         rows = final.n_trans.astype(float) + hp.alpha * beta_k[None, :]
         pi = rows / rows.sum(axis=1, keepdims=True)
     else:

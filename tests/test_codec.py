@@ -129,11 +129,13 @@ def test_simulate_rejects_corrupt_model_sets(tmp_path, capsys, case):
     assert f"map_{CORRUPT[case][2]}" in capsys.readouterr().err
 
 
-# rows that still sum to 1, and a mean table one row too long
+# rows that still sum to 1, a mean table one row too long, and a kind no
+# sampler fits
 TAMPERED = {
     "pi": np.tile([1.5, -0.5, 0.0], (3, 1)),
     "pi0": np.array([1.5, -0.5, 0.0]),
     "mu": np.ones((4, 2)),
+    "kind": np.array("no-such-kind"),
 }
 
 
@@ -156,5 +158,7 @@ def test_a_tampered_model_is_a_config_error_naming_its_field(tmp_path, capsys,
                          "--format", "plain", "--slice-secs", "30"]}[command]
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"config error: {field} ")
+    assert field != "kind" or "'no-such-kind'" in err
+    assert out == ""
