@@ -37,6 +37,13 @@ give.  A slice that is not alone stays in its cluster's sums while it is
 scored (the scorer takes it out of that row and of the noise pools), and
 the statistics move only when the draw moves it.
 
+The scorer's per-slice constants (the support, its flat indices in an M x M
+matrix, X[t] on it and the support block's masks) are read off X once per
+state, on first use, and shared by its clones and split-merge candidates.
+They never go stale: a state holds its own read-only copy of X.  The
+scorer's log(b + n) terms are lookups into the log tables of models, which
+equal the np.log calls they replace bit for bit.
+
 Every predictive the sampler evaluates, for an existing cluster, a new one,
 the noise pools or a latent pair, is a sum of _log_gain terms, the one
 Poisson-Gamma predictive gain.
@@ -58,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .models import (_UNIT, Hyperparams, _grid, check_kind, is_diagonal,
+from .models import (_UNIT, Hyperparams, _grid, _log_grid, check_kind, is_diagonal,
                      is_sparse, is_temporal, log_marginal, log_poisson)
 # the kind names, read here by the sampler's callers as gibbs.DP_MMVP etc.
 from .models import (ALL_KINDS, DP_MIP, DP_MMVP, HMM_DP_MIP,  # noqa: F401
@@ -80,10 +87,9 @@ def _log_gain(S, n, y, shape, rate):
     log_marginal(S + y, n + 1, lf + log y!) - log_marginal(S, n, lf).
     Elementwise over broadcast integer arrays."""
     g = _grid(shape)
-    return (g.take(S + y) - g.take(S)
-            - (shape + S + y) * np.log(rate + n + 1.0)
-            + (shape + S) * np.log(rate + n)
-            - _UNIT.take(y))
+    c = shape + S
+    return (g.take(S + y) - g.take(S) - (c + y) * _log_grid(rate + 1.0).take(n)
+            + c * _log_grid(rate).take(n) - _UNIT.take(y))
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,11 @@ class GibbsState:
         check_kind(kind)
         self.kind = kind
         self.hp = hp
-        self.X = np.asarray(X, dtype=np.int64)
+        # a read-only copy, so the support tables read off it cannot go
+        # stale; the caller's array stays writable
+        self.X = np.array(X, dtype=np.int64)
+        self.X.flags.writeable = False
+        self._support = None
         T, M = self.X.shape
         self.Z = np.zeros(T, dtype=np.int64)
         self.Y = np.zeros((T, M, M), dtype=np.int64)
@@ -143,6 +153,13 @@ class GibbsState:
     def M(self):
         return self.X.shape[1]
 
+    @property
+    def support(self):
+        """The _Support tables of every slice, built from X on first use."""
+        if self._support is None:
+            self._support = _support_tables(self.X)
+        return self._support
+
     # the noise pools: per dimension, the diagonal counts, their log(Y!)
     # terms and the sizes summed over the clusters where it is inactive
     @property
@@ -162,6 +179,7 @@ class GibbsState:
         out.kind = self.kind
         out.hp = self.hp
         out.X = self.X            # data is immutable, share it
+        out._support = self._support
         out.Z = self.Z.copy()
         out.Y = self.Y.copy()
         out.K = self.K
@@ -241,6 +259,48 @@ def _fixed_mask(diagonal, M):
     return mask
 
 
+# Per-slice constants of the assignment step, read off X: the nonzero bins
+# of X[t], the flat indices of their s x s block in an M x M matrix
+# (row-major) and X[t] on the bins; then the _block_masks of size s.
+_Support = collections.namedtuple("_Support", "sup flat x_sup rows cols diag upper row_off")
+
+
+def _support_tables(X):
+    """The _Support of every slice of X."""
+    M = X.shape[1]
+    out = []
+    for x in X:
+        sup = np.flatnonzero(x)
+        out.append(_Support(sup, (sup[:, None] * M + sup).ravel(), x[sup],
+                            *_block_masks(len(sup))))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _block_masks(s):
+    """Over a flattened s x s block, as integers shared read-only: each
+    entry's row and column, the diagonal and upper-triangle masks, and the
+    (s * s, s) matrix that sums each row's off-diagonal entries."""
+    j, l = np.indices((s, s)).reshape(2, -1)
+    out = (j, l, (j == l).astype(np.int64), (j <= l).astype(np.int64),
+           ((j != l)[:, None] & (j[:, None] == np.arange(s))).astype(np.int64))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _count_weights(diagonal, M, a):
+    """The scorer's constant weights: over a flattened M x M matrix, 2 on
+    the diagonal and 1 elsewhere, so a dot product counts each diagonal entry
+    twice; M ones; and a times the number of collapsed factors of c active
+    dimensions, indexed by c (c for the diagonal kinds, else the triangular
+    number c (c + 1) / 2)."""
+    c = np.arange(M + 1)
+    return (np.eye(M, dtype=np.int64).ravel() + 1, np.ones(M, dtype=np.int64),
+            a * (c if diagonal else c * (c + 1) // 2))
+
+
 def _pair_mask(kind, b_row, M):
     """Upper-triangular (incl. diagonal) mask of the collapsed factors in use."""
     if is_diagonal(kind):
@@ -255,7 +315,7 @@ def _pair_mask(kind, b_row, M):
 def _categorical_from_log(logw, rng):
     """One draw from the weights exp(logw), a list of Python floats."""
     top = max(logw)
-    cum = list(itertools.accumulate(math.exp(v - top) for v in logw))
+    cum = list(itertools.accumulate([math.exp(v - top) for v in logw]))
     return min(bisect.bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
 
 
@@ -322,46 +382,56 @@ def _f_candidates(t, state, aux, home=None):
     still in S[home]; n_k must not count it.
     Returns (scores, Yp, sup): Yp holds each row's projection of
     Y[t][sup, sup] for the sparse kinds, else that block itself."""
-    hp = state.hp
-    sparse = is_sparse(state.kind)
-    K, x, S = state.K, state.X[t], state.S
-    sup = np.flatnonzero(x)
-    Ys = state.Y[t][sup[:, None], sup]
-    act = np.concatenate((state.b, aux))
+    hp, kind = state.hp, state.kind
+    sparse = is_sparse(kind)
+    K, M, S = state.K, state.M, state.S
+    sup, flat, x_sup, rows, cols, dm, um, row_off = state.support[t]
+    s = len(sup)
+    a = hp.a_bar
+    twice_diag, ones, a_factors = _count_weights(is_diagonal(kind), M, a)
+    act = np.concatenate((state.b, aux), dtype=np.int64)
+    R = len(act)
     n = np.concatenate((state.n_k, np.zeros(len(aux), dtype=np.int64)))
-    Ss = np.zeros((len(act), len(sup), len(sup)), dtype=np.int64)
-    Ss[:K] = S[:, sup[:, None], sup]
+    # the support blocks, flattened: rows of s * s entries
+    Ys = state.Y[t].take(flat)
+    Sf = S.reshape(K, M * M)
+    Ss = np.zeros((R, s * s), dtype=np.int64)
+    Sf.take(flat, axis=1, out=Ss[:K], mode="clip")
     # masked totals by the row-sum identity: off-diagonal mass sits only
     # between active dimensions, and half of it above the diagonal
-    diag = S.diagonal(axis1=1, axis2=2)
-    T = np.zeros(len(act), dtype=np.int64)
-    T[:K] = (S.sum(axis=(1, 2)) - diag.sum(axis=1)) // 2 + (diag * state.b).sum(axis=1)
+    T = (Sf @ twice_diag) >> 1
     if sparse:
+        off = 1 - act
+        diag_off = Sf[:, ::M + 1] * off[:K]
+        T -= diag_off @ ones
         # fold the mass of pairs outside each row's active set onto the diagonals
-        on = act[:, sup] != 0
-        ok = on[:, :, None] & on[:, None, :]
+        on = act.take(sup, axis=1)
+        ok = on.take(rows, axis=1) & on.take(cols, axis=1)
         Yp = Ys * ok
-        Yp += (x[sup] - Yp.sum(axis=2))[:, :, None] * _fixed_mask(True, len(sup))
-        fm = ok & _fixed_mask(False, len(sup))
+        Yp[:, ::s + 1] = x_sup - Yp @ row_off
+        fm = ok & um
     else:
-        Yp, fm = Ys, _fixed_mask(is_diagonal(state.kind), len(sup))
+        Yp, fm = Ys, dm if is_diagonal(kind) else um
     if home is not None:
         Ss[home] -= Ys
-        T[home] -= Ys[fm[home] if sparse else fm].sum()
-    a, log_n1, log_n = hp.a_bar, np.log(n + (hp.b_bar + 1.0)), np.log(n + hp.b_bar)
+        T[home] -= Ys @ (fm[home] if sparse else fm)
+    log_n1, log_n = _log_grid(hp.b_bar + 1.0).take(n), _log_grid(hp.b_bar).take(n)
     g = _grid(a)
-    gain = g.take(Ss + Yp) - g.take(Ss) - Yp * log_n1[:, None, None] - _UNIT.take(Yp)
-    c = act.sum(axis=1)
-    P = c if is_diagonal(state.kind) else c * (c + 1) // 2
-    out = (gain * fm).sum(axis=(1, 2)) - (a * P + T) * (log_n1 - log_n)
+    gain = g.take(Ss + Yp) - g.take(Ss) - Yp * log_n1[:, None] - _UNIT.take(Yp)
+    aPT = a_factors.take(act @ ones)
+    aPT[:K] += T
+    out = np.add.reduce(gain * fm, 1) - aPT * (log_n1 - log_n)
     if sparse:
         # per-dimension noise predictive is cluster-independent; n_k leaves
         # t out, S[home] holds it, with diagonal X[t] where home is inactive
-        off = act == 0
-        S_hat = diag.sum(axis=0, where=off[:K])
+        x = state.X[t]
+        S_hat = np.add.reduce(diag_off, 0)
         if home is not None:
             S_hat -= x * off[home]
         out += off @ _log_gain(S_hat, n @ off, x, hp.a_hat, hp.b_hat)
+        Yp = Yp.reshape(R, s, s)
+    else:
+        Yp = Ys.reshape(s, s)
     return out, Yp, sup
 
 
@@ -375,8 +445,10 @@ def f_new_sparse(t, state, rng, old_b=None):
     if state.Z[t] >= 0:
         raise ValueError("slice t must be detached from its cluster")
     hp = state.hp
-    p_act = (state.b.sum(axis=0) + hp.a_prime) / (state.K + hp.a_prime + hp.b_prime)
-    aux = (rng.random((_N_AUX, state.M)) < p_act).astype(np.int8)
+    # the activity counts are summed as floats, which holds them exactly
+    p_act = (np.add.reduce(state.b, 0, dtype=float) + hp.a_prime) / (
+        state.K + hp.a_prime + hp.b_prime)
+    aux = (rng.random((_N_AUX, state.M)) < p_act).view(np.int8)
     if old_b is not None:
         aux[0] = old_b
     return aux
@@ -405,12 +477,14 @@ def _log_z_weights(state, prev_k, next_k):
     K, alpha, beta = state.K, state.hp.alpha, state.beta.tolist()
     if not is_temporal(state.kind):
         return [math.log(v) for v in state.n_k.tolist()] + [math.log(alpha)]
-    into = state.n_trans[prev_k].tolist() if prev_k is not None else [0] * K
+    rows = state.n_trans.tolist()
+    into = rows[prev_k] if prev_k is not None else [0] * K
     out = [math.log(alpha * w + c) for w, c in zip(beta, into)]
     out.append(math.log(alpha * beta[K]))
     if next_k is not None:
-        num = (alpha * beta[next_k] + state.n_trans[:, next_k]).tolist()
-        den = (alpha + state.n_trans.sum(axis=1)).tolist()
+        ab = alpha * beta[next_k]
+        num = [ab + row[next_k] for row in rows]
+        den = [alpha + sum(row) for row in rows]
         if prev_k is not None:
             if prev_k == next_k:
                 num[prev_k] += 1.0
@@ -466,7 +540,7 @@ def _sample_z(t, state, rng):
         if home is not None:
             _remove_from_cluster(state, t)
         if sparse:
-            state.Y[t][sup[:, None], sup] = Yp[pick]
+            state.Y[t].put(state.support[t].flat, Yp[pick])
         if pick >= K:
             pick = _create_cluster(state, aux[pick - K], rng)
             state.moves["clusters_opened"] += 1
@@ -564,14 +638,17 @@ def sample_b(k, j, state, rng):
     x_j = state.X[members, j]
     sum_x = int(x_j.sum())
     glx = float(_UNIT.take(x_j).sum())
-    off = state.Y[members, j]           # row j without its diagonal
-    off[:, j] = 0
 
     s1_ll = state.S[k, others, others]
     lf1_ll = state.LF[k, others, others]
-    d_o, off_o = state.Y[members[:, None], others, others], off[:, others]
-    s0_ll = s1_ll + off_o.sum(axis=0)
-    lf0_ll = lf1_ll + (_UNIT.take(d_o + off_o) - _UNIT.take(d_o)).sum(axis=0)
+    if cur:
+        off = state.Y[members, j]           # row j without its diagonal
+        off[:, j] = 0
+        d_o, off_o = state.Y[members[:, None], others, others], off[:, others]
+        s0_ll = s1_ll + off_o.sum(axis=0)
+        lf0_ll = lf1_ll + (_UNIT.take(d_o + off_o) - _UNIT.take(d_o)).sum(axis=0)
+    else:
+        s0_ll, lf0_ll = s1_ll, lf1_ll      # row j is diagonal-only: nothing folds
     rest = 1 - state.b[:, j]
     rest[k] = 0
     noise1 = (rest @ state.S[:, j, j], rest @ state.n_k, rest @ state.LF[:, j, j])
@@ -874,24 +951,25 @@ def joint_log_density(state):
 
 
 def _pairs_among(state, k, dims):
-    """Off-diagonal (j, l), j < l, among the dimensions in `dims` (bool, M)
+    """Off-diagonal (j, l), j < l, among the dimensions `dims` (ascending)
     that are active in cluster k."""
     if is_diagonal(state.kind):
         return []
     if is_sparse(state.kind):
-        dims = dims & (state.b[k] == 1)
-    return list(itertools.combinations(np.flatnonzero(dims).tolist(), 2))
+        act = state.b[k]
+        dims = [j for j in dims if act[j]]
+    return list(itertools.combinations(dims, 2))
 
 
 def active_pairs(state, k):
     """Off-diagonal (j, l) pairs sampled for a member of cluster k."""
-    return _pairs_among(state, k, np.ones(state.M, dtype=bool))
+    return _pairs_among(state, k, range(state.M))
 
 
 def _live_pairs(state, t):
     """The active pairs of slice t whose two counts are both nonzero: the
     only ones whose conditional is not a point mass (module docstring)."""
-    return _pairs_among(state, int(state.Z[t]), state.X[t] > 0)
+    return _pairs_among(state, int(state.Z[t]), state.support[t].sup.tolist())
 
 
 @dataclass

@@ -10,9 +10,13 @@ conditional is built from.
 
 Every log-gamma in the package comes from ``math.lgamma``.  Nearly every
 argument is a fixed offset (a hyperparameter shape, or 1 for log y!) plus a
-non-negative integer count, so it is a lookup into the ``_GammalnGrid`` of
-that offset, kept here.  The one exception, alpha * beta + n in the temporal
-joint density, calls ``math.lgamma`` directly.
+non-negative integer count, so it is a lookup into the lgamma grid of that
+offset (``_grid``), kept here.  The one exception, alpha * beta + n in the
+temporal joint density, calls ``math.lgamma`` directly.  Beside the grids,
+``_log_grid`` keeps log tables, log(rate + n) for a Gamma rate (or rate + 1)
+and an integer size n, which the sampler's predictives read instead of
+calling ``np.log``; the table is filled with ``np.log`` itself, so a lookup
+equals the call it replaces bit for bit.  Both are one ``_Grid`` class.
 
 The six model kinds are named here too, with ALL_KINDS and the predicates
 that split them by assignment prior and emission model: the sampler, the
@@ -27,37 +31,53 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class _GammalnGrid:
-    """lgamma(offset + i) for non-negative integers i, grown on demand.
-    A lookup replaces the transcendental in the sampler's hot loops, the
-    collapsed marginals, the joint density and the Poisson pmfs."""
+def _lgammas(args):
+    return [math.lgamma(v) for v in args.tolist()]
 
-    def __init__(self, offset):
+
+class _Grid:
+    """fill(offset + i) for non-negative integers i, grown on demand: the
+    lgamma grids by default, the log tables with fill=np.log.  A lookup
+    replaces the transcendental in the sampler's hot loops, the collapsed
+    marginals, the joint density and the Poisson pmfs."""
+
+    def __init__(self, offset, fill=_lgammas):
         self.offset = float(offset)
+        self._fill = fill
         self.vals = np.zeros(0)
         self._grow(1024)
 
     def _grow(self, size):
-        self.vals = np.append(self.vals, [math.lgamma(self.offset + i)
-                                          for i in range(len(self.vals), size)])
+        args = self.offset + np.arange(len(self.vals), size)
+        self.vals = np.append(self.vals, self._fill(args))
 
     def take(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
+        """The values at the integer indices idx, of any shape."""
         try:
-            return self.vals[idx]
+            return self.vals.take(idx)
         except IndexError:
-            self._grow(1 << int(idx.max() + 1).bit_length())
-            return self.vals[idx]
+            self._grow(1 << int(np.max(idx) + 1).bit_length())
+            return self.vals.take(idx)
 
 
 _GRIDS = {}
+_LOG_GRIDS = {}
 
 
 def _grid(offset):
+    """The lgamma grid of offset."""
     try:
         return _GRIDS[offset]
     except KeyError:
-        return _GRIDS.setdefault(offset, _GammalnGrid(offset))
+        return _GRIDS.setdefault(offset, _Grid(offset))
+
+
+def _log_grid(offset):
+    """The log table of offset: log(offset + n) for the integer sizes n."""
+    try:
+        return _LOG_GRIDS[offset]
+    except KeyError:
+        return _LOG_GRIDS.setdefault(offset, _Grid(offset, np.log))
 
 
 _UNIT = _grid(1.0)      # lgamma(1 + y) = log y!
@@ -219,4 +239,4 @@ def log_poisson(X, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         xlog = np.where(X > 0, X * np.log(mu), 0.0)
-    return (xlog - mu).sum(axis=-1) - _UNIT.take(X).sum(axis=-1)
+    return (xlog - mu).sum(axis=-1) - _UNIT.take(X.astype(np.int64)).sum(axis=-1)

@@ -324,6 +324,27 @@ def test_support_scorer_of_a_deleted_singleton(kind):
 
 
 @pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
+def test_the_data_is_read_only_and_the_support_tables_match_it(kind):
+    # the scorer's per-slice tables are read off X once per state and shared
+    # by its clones, so no state may write X
+    X = random_state(kind, seed=9, T=30, M=5).X.copy()
+    state = gibbs.init_state(X, kind, Hyperparams(), np.random.default_rng(0))
+    for st in (state, state.clone()):
+        with pytest.raises(ValueError):
+            st.X[0, 0] = 7
+    assert X.flags.writeable
+    samples, _ = gibbs.run_gibbs(X, kind, cfg=gibbs.FitConfig(iterations=3, burn_in=1))
+    for st in samples:
+        assert len(st.support) == len(X)
+        for t, tab in enumerate(st.support):
+            sup = np.flatnonzero(X[t])
+            assert np.array_equal(tab.sup, sup)
+            flat = np.ravel_multi_index(np.ix_(sup, sup), X.shape[1:] * 2).ravel()
+            assert np.array_equal(tab.flat, flat)
+            assert np.array_equal(tab.x_sup, X[t, sup])
+
+
+@pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
 def test_a_slice_that_stays_leaves_the_statistics_bit_identical(kind):
     state = random_state(kind, seed=3, T=30, M=5, K=3)
     step = gibbs.sample_z_hdp if gibbs.is_temporal(kind) else gibbs.sample_z_dp

@@ -27,9 +27,29 @@ def test_grid_matches_scipy(name):
     offset = OFFSETS[name]
     want = gammaln(offset + np.arange(5000))
     # a fresh grid grows past its initial 1024 entries on this lookup
-    for grid in (models._GammalnGrid(offset), models._grid(offset)):
+    for grid in (models._Grid(offset), models._grid(offset)):
         np.testing.assert_allclose(grid.take(np.arange(5000)), want, rtol=RTOL, atol=0)
     assert models._grid(1.0) is models._UNIT
+
+
+# the log tables' offsets: the sampler reads log(rate + n) and log(rate + 1 + n)
+# for the active and the noise rate, under this file's priors and the defaults
+LOG_OFFSETS = sorted({v for hp in (HP, Hyperparams())
+                      for rate in (hp.b_bar, hp.b_hat) for v in (rate, rate + 1.0)})
+
+
+@pytest.mark.parametrize("offset", LOG_OFFSETS)
+def test_log_table_is_np_log_bit_for_bit(offset):
+    fresh = models._Grid(offset, np.log)
+    size = len(fresh.vals)
+    n = 4 * size + 3
+    # a lookup past the end grows the table
+    fresh.take([n - 1])
+    assert len(fresh.vals) >= n > size
+    # every entry is the np.log call the sampler made before the tables
+    want = np.log(offset + np.arange(n)).tobytes()
+    for grid in (fresh, models._log_grid(offset)):
+        assert grid.take(np.arange(n)).tobytes() == want
 
 
 def test_elementwise_lgamma_matches_scipy():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tracemix import cli
+from tracemix import cli, models
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,8 +42,10 @@ def test_runtime_modules_load_no_scipy():
 def test_pipeline_runs_with_scipy_unimportable(tmp_path):
     proc = _run([str(ROOT / "tests" / "no_scipy_smoke.py"), str(tmp_path)])
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    for name in ("counts.npz", "model.npz", "eval.csv", "sim_preloading.csv"):
-        assert (tmp_path / name).is_file(), name
+    assert (tmp_path / "counts.npz").is_file()
+    for kind in models.ALL_KINDS:
+        for name in ("model.npz", "eval.csv", "sim_preloading.csv"):
+            assert (tmp_path / kind / name).is_file(), (kind, name)
 
 
 @pytest.fixture(scope="module")
