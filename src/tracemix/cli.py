@@ -3,7 +3,7 @@
 Every subcommand is deterministic given its config and seed.  Defaults follow
 the usual desk setup (10 bins, 30 s slices, 50% split, 5% cache) and can be
 overridden by a JSON config file and/or flags; explicit flags win.  fit, eval
-and simulate take the bins, slice length and block size of the artifact or
+and simulate take the binning settings (_BINNING_FIELDS) of the artifact or
 model they read, and refuse an explicit setting that differs.
 
 Importing this module loads only what the parser and the config checks
@@ -50,7 +50,8 @@ DEFAULTS = {
 
 
 # The settings an aggregated artifact fixes, and its BinningConfig fields.
-_BINNING_FIELDS = {"bins": "M", "slice_secs": "nu", "block_size": "block_size"}
+_BINNING_FIELDS = {"bins": "M", "slice_secs": "nu", "block_size": "block_size",
+                   "per_block": "count_per_block"}
 
 _CHOICES = {"kind": ALL_KINDS, "format": ("msr", "plain")}
 
@@ -78,7 +79,7 @@ def _merge_config(args, fixed=None):
     value must have the type of its default (_check_type).
 
     fixed is None or (path, BinningConfig) of the model or artifact a
-    command reads: bins, slice_secs and block_size then take its values, and
+    command reads: the _BINNING_FIELDS then take its values, and
     an explicit value, from the file or a flag, that differs is a
     ConfigError naming both.
     """

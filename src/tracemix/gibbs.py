@@ -14,6 +14,10 @@ not cover its off-diagonal mass, that mass is folded back onto the diagonals
 (the minimal change preserving row sums).  The sparse kinds' noise pools
 are read off the diagonals of S and LF and n_k, so no update keeps them.
 
+The schedule lives in sweep(): per slice the assignment step and its latent
+pairs, the sparse kinds' activity indicators, then split-merge.  run_gibbs
+adds the stick-weight refresh, the budget and the diagnostics.
+
 A sweep resamples only the latent pairs (j, l) whose counts X[t,j] and
 X[t,l] are both nonzero.  A zero count forces row j of Y[t] to be all zero,
 so the conditional of every pair in that row is a point mass at its current
@@ -175,21 +179,10 @@ class GibbsState:
         return self.LF.diagonal(axis1=1, axis2=2).sum(axis=0, where=self.b == 0)
 
     def clone(self):
-        out = GibbsState.__new__(GibbsState)
-        out.kind = self.kind
-        out.hp = self.hp
-        out.X = self.X            # data is immutable, share it
-        out._support = self._support
-        out.Z = self.Z.copy()
-        out.Y = self.Y.copy()
-        out.K = self.K
-        out.n_k = self.n_k.copy()
-        out.S = self.S.copy()
-        out.LF = self.LF.copy()
-        out.b = self.b.copy()
-        out.beta = self.beta.copy()
-        out.n_trans = self.n_trans.copy()
-        out.m = self.m.copy()
+        """Own latents and statistics, fresh tallies, shared read-only data."""
+        out = copy.copy(self)
+        for name in ("Z", "Y", "n_k", "S", "LF", "b", "beta", "n_trans", "m"):
+            setattr(out, name, getattr(self, name).copy())
         out.moves = collections.Counter()
         return out
 
@@ -989,39 +982,46 @@ class Diagnostics:
                 fh.write(f"{sweep},{jld:.6f},{k},{wc:.3f},{','.join(map(str, counts))}\n")
 
 
+def sweep(state, rng):
+    """One sweep of the schedule (module docstring) with fresh state.moves
+    tallies; beta and m are left as they are.  Kernels are looked up by
+    name at call time.  Returns (latent pair draws, proposals accepted)."""
+    state.moves.clear()
+    step_z = sample_z_hdp if is_temporal(state.kind) else sample_z_dp
+    n_y = 0
+    for t in range(state.T):
+        step_z(t, state, rng)
+        for (j, l) in _live_pairs(state, t):
+            sample_y(t, j, l, state, rng)
+            n_y += 1
+    if is_sparse(state.kind):
+        for k in range(state.K):
+            for j in range(state.M):
+                sample_b(k, j, state, rng)
+    return n_y, sample_split_merge(state, rng)
+
+
 def run_gibbs(data, kind, hp=None, cfg=None):
-    """Run full sweeps in fixed order (per slice: assignment then its latent
-    matrix; then all activity indicators; then table counts and stick
-    weights).  Returns (post-burn-in thinned states, diagnostics)."""
+    """Run the budget's sweeps, each a sweep() then sample_m_beta, until
+    the wall-clock limit.  Returns (post-burn-in thinned states,
+    diagnostics)."""
     hp = hp if hp is not None else Hyperparams()
     cfg = cfg if cfg is not None else FitConfig()
     rng = np.random.default_rng(cfg.seed)
     state = init_state(data, kind, hp, rng)
-    step_z = sample_z_hdp if is_temporal(kind) else sample_z_dp
     samples = []
     diag = Diagnostics()
     started = time.monotonic()
-    for sweep in range(1, cfg.iterations + 1):
-        n_y = 0
-        state.moves.clear()
-        for t in range(state.T):
-            step_z(t, state, rng)
-            for (j, l) in _live_pairs(state, t):
-                sample_y(t, j, l, state, rng)
-                n_y += 1
-        if is_sparse(kind):
-            for k in range(state.K):
-                for j in range(state.M):
-                    sample_b(k, j, state, rng)
-        accepted = sample_split_merge(state, rng)
+    for i in range(1, cfg.iterations + 1):
+        n_y, accepted = sweep(state, rng)
         sample_m_beta(state, rng)
         elapsed = time.monotonic() - started
-        diag.rows.append((sweep, joint_log_density(state), state.K, elapsed, n_y,
+        diag.rows.append((i, joint_log_density(state), state.K, elapsed, n_y,
                           accepted, *(state.moves[name] for name in MOVE_COUNTS)))
-        if sweep > cfg.burn_in and (sweep - cfg.burn_in - 1) % cfg.thinning == 0:
+        if i > cfg.burn_in and (i - cfg.burn_in - 1) % cfg.thinning == 0:
             samples.append(state.clone())
-        if elapsed > cfg.wall_clock_limit and sweep < cfg.iterations:
-            diag.partial = sweep <= cfg.burn_in
+        if elapsed > cfg.wall_clock_limit and i < cfg.iterations:
+            diag.partial = i <= cfg.burn_in
             break
     if not samples:
         samples = [state.clone()]

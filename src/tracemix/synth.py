@@ -52,6 +52,8 @@ class SynthSpec:
         for name in ("T", "block_size"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("nu", "noise_rate"):
             value = getattr(self, name)
             if not (_is_int(value) or isinstance(value, float)):

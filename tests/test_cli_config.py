@@ -40,6 +40,10 @@ def test_fit_rejects_fewer_than_one_chain(tmp_path, capsys, chains):
     {"block_size": True},
     {"pattern": 0},
     {"noise_block_range": [10, 5]},
+    {"seed": "x"},
+    {"seed": 1.5},
+    {"seed": True},
+    {"seed": -1},
 ])
 def test_gen_trace_rejects_bad_spec(tmp_path, capsys, spec):
     path, out = tmp_path / "spec.json", tmp_path / "trace.csv"
@@ -173,14 +177,14 @@ def test_aggregate_rejects_a_slice_length_that_is_not_finite_and_positive(
 
 
 # the model and the artifact below are binned at 30 s slices, 4096-byte
-# blocks and M bins
+# blocks and M bins, counting per request; only aggregate has --per-block
 @pytest.mark.parametrize("command", ["simulate", "eval", "fit"])
-@pytest.mark.parametrize("key, flag, value", [
-    ("slice_secs", "--slice-secs", 5.0), ("bins", "--bins", 3),
-    ("block_size", "--block-size", 512)])
-@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("source, key, flag, value", [
+    (source, *setting) for source in ("flag", "file") for setting in (
+        ("slice_secs", "--slice-secs", 5.0), ("bins", "--bins", 3),
+        ("block_size", "--block-size", 512))] + [("file", "per_block", None, True)])
 def test_binning_settings_must_match_the_model_or_artifact(
-        tmp_path, capsys, command, key, flag, value, source):
+        tmp_path, capsys, command, source, key, flag, value):
     M = 2
     model, artifact, trace = tmp_path / "m.npz", tmp_path / "counts.npz", tmp_path / "trace.csv"
     save_one_cluster_model(model, M=M)
@@ -193,7 +197,7 @@ def test_binning_settings_must_match_the_model_or_artifact(
             "fit": ["fit", "--artifact", str(artifact), "--out", str(tmp_path / "fit.npz"),
                     "--iters", "2", "--burn-in", "1"]}[command]
     # the values the files hold are accepted either way
-    held = {"slice_secs": 30.0, "bins": M, "block_size": 4096}[key]
+    held = {"slice_secs": 30.0, "bins": M, "block_size": 4096, "per_block": False}[key]
     for given, want in ((held, cli.EXIT_OK), (value, cli.EXIT_CONFIG)):
         if source == "flag":
             options = [flag, str(given)]

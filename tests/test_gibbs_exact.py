@@ -3,6 +3,7 @@ on small fixtures.  The enumeration evaluates full configurations with the
 independent joint density in oracles.py, never the sampler's incremental
 bookkeeping."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -524,3 +525,73 @@ def test_split_merge_keeps_the_partition_posterior():
         counts[canonical(st.Z)] += 1
     for z, p in zip(parts, probs):
         assert counts[z] / n == pytest.approx(p, abs=TOL), z
+
+
+# ---------------------------------------------------------------------------
+# one composed sweep
+
+# starts and steps per gated kind: at TOL the largest cell of each target
+# (0.38 for dp-mip, 0.11 for dp-mmvp) is 3.2-4 standard errors wide.
+# sparse-dp-mmvp (4,000 draws) fails this gate: one sweep moves the cell "one
+# cluster, b = (1, 0)" from 0.043 to 0.108.  sample_b folds a deactivated
+# row of Y onto the diagonals and an activation leaves it there, and the
+# assignment step folds Y the same way, so no move restores the
+# off-diagonal mass; alone, sample_b takes that cell to 0.121 and the
+# assignment steps to 0.076, while sample_y and split-merge keep the target.
+# sweep_posterior enumerates the sparse target, so that gate is one entry.
+SWEEP_DRAWS = {gibbs.DP_MIP: 6_000, gibbs.DP_MMVP: 4_000}
+
+
+def sweep_posterior(kind, X, hp):
+    """Every (canonical Z, Y, b) of kind on the 2-dimension counts X, with its
+    exact posterior probability: each partition, each activity row per
+    cluster (sparse kinds; all active otherwise) and each value of every
+    slice's one off-diagonal latent that its cluster's activity allows."""
+    sparse, diag = gibbs.is_sparse(kind), gibbs.is_diagonal(kind)
+    configs = []
+    for z in partitions(len(X)):
+        K = max(z) + 1
+        rows = (itertools.product(itertools.product((0, 1), repeat=2), repeat=K)
+                if sparse else [((1, 1),) * K])
+        for b in rows:
+            ys = [[[[x0 - v, v], [v, x1 - v]]
+                   for v in range(min(x0, x1) + 1 if not diag and all(b[k]) else 1)]
+                  for (x0, x1), k in zip(X.tolist(), z)]
+            configs += [(z, np.array(Y), np.array(b)) for Y in itertools.product(*ys)]
+    probs = normalized([oracles.full_joint(X, z, Y, b, None, hp, temporal=False,
+                                           sparse=sparse, diag=diag)
+                        for z, Y, b in configs])
+    return configs, probs
+
+
+def sweep_outcome(Z, Y, b):
+    """Hashable (canonical Z, Y, b), b's rows in canonical label order."""
+    order = list(dict.fromkeys(Z.tolist()))
+    return canonical(Z), tuple(Y.ravel().tolist()), tuple(map(tuple, b[order].tolist()))
+
+
+@pytest.mark.parametrize("kind", list(SWEEP_DRAWS))
+def test_one_sweep_keeps_the_joint_posterior(kind):
+    # Geweke's successive-conditional check, made exact by enumeration:
+    # starts drawn from the posterior of (Z, Y, b) must end in it after one
+    # gibbs.sweep, which composes the assignment, latent-pair, activity and
+    # split-merge kernels.  beta is not part of these kinds' target.  The
+    # temporal kinds are not gated: opening or closing a cluster splits or
+    # folds a stick weight, so their target would have to include beta.  A
+    # dropped split-merge proposal price fails both gated kinds.
+    hp = Hyperparams()
+    X = np.array([[2, 1], [1, 2], [3, 0]])
+    configs, probs = sweep_posterior(kind, X, hp)
+    keys = [sweep_outcome(np.array(z), Y, b) for z, Y, b in configs]
+    starts = [oracles.build_state(kind, X, z, Y, b, [1.0 / (max(z) + 2)] * (max(z) + 2), hp)
+              for z, Y, b in configs]
+    rng = np.random.default_rng(20)
+    n = SWEEP_DRAWS[kind]
+    counts = collections.Counter()
+    for start in rng.choice(len(keys), size=n, p=probs):
+        st = starts[start].clone()
+        gibbs.sweep(st, rng)
+        counts[sweep_outcome(st.Z, st.Y, st.b)] += 1
+    assert set(counts) <= set(keys)
+    for key, p in zip(keys, probs):
+        assert counts[key] / n == pytest.approx(p, abs=TOL), key

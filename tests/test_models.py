@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
+from tracemix import synth
 from tracemix.models import (Hyperparams, SMVPParams, log_marginal,
                              log_poisson, mu_from_params, sample_smvp)
 
@@ -96,6 +97,26 @@ def test_sample_smvp_inactive_dim_is_noise():
         prods = ((draws[:, j] - draws[:, j].mean())
                  * (draws[:, 2] - m3))
         assert abs(prods.mean()) < 3 * prods.std() / np.sqrt(n)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ordering_spec_gives_each_state_its_own_correlated_pair(seed):
+    # what synth.default_ordering_spec promises, on its own draws: state k's
+    # dimensions 2k and 2k + 1 share a rate-4 latent over rate-1 diagonals
+    # (mean 5 each, correlation 4 / 5), and its other six dimensions are
+    # noise at rate 0.3.  Each bound is about 3.5 standard errors at 41
+    # slices, the fewest a state had on these seeds.
+    spec = synth.default_ordering_spec(seed=seed)
+    seq, Z = synth.gen_count_sequence(spec)
+    assert (spec.K_true, spec.M) == (4, 8)
+    for k in range(spec.K_true):
+        X = seq.X[Z == k]
+        pair = X[:, [2 * k, 2 * k + 1]]
+        rest = np.delete(X, [2 * k, 2 * k + 1], axis=1)
+        assert len(X) >= 30, k
+        assert np.corrcoef(pair.T)[0, 1] >= 0.6, k
+        assert np.all(np.abs(pair.mean(axis=0) - 5.0) < 1.25), k
+        assert abs(rest.mean() - 0.3) < 0.12, k
 
 
 # ---------------------------------------------------------------------------
