@@ -17,6 +17,7 @@ module, and a bound name would bypass it.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -228,7 +229,7 @@ def cmd_gen_trace(args):
 
     spec = synth.spec_from_json(args.spec) if args.spec else synth.default_trace_spec()
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = dataclasses.replace(spec, seed=args.seed)
     trace = synth.gen_block_trace(spec)
     synth.write_trace_csv(trace, args.out)
     print(f"wrote {len(trace)} events over {spec.T} slices -> {args.out}")

@@ -11,8 +11,11 @@ Bookkeeping is remove-then-add with immediate garbage collection of empty
 clusters.  The defining constraint sum_l Y[t,j,l] == X[t,j] holds after every
 individual update; whenever a slice lands in a cluster whose active set does
 not cover its off-diagonal mass, that mass is folded back onto the diagonals
-(the minimal change preserving row sums).  The sparse kinds' noise pools
-are read off the diagonals of S and LF and n_k, so no update keeps them.
+(the minimal change preserving row sums).  So Y[t] is zero outside its
+cluster's collapsed factors and the diagonal.  The sparse kinds' noise pools
+are read off the diagonals of S and n_k, so no update keeps them.  No
+statistic keeps the factors' log(Y!) sums either: they depend on Y alone,
+and the joint density reads them off Y (joint_log_density).
 
 The schedule lives in sweep(): per slice the assignment step and its latent
 pairs, the sparse kinds' activity indicators, then split-merge.  run_gibbs
@@ -111,7 +114,7 @@ class FitConfig:
             raise ValueError("need iterations > burn_in >= 0")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if self.wall_clock_limit <= 0:
+        if not self.wall_clock_limit > 0:    # NaN fails too; inf means no limit
             raise ValueError("wall_clock_limit must be positive")
 
 
@@ -119,9 +122,10 @@ class GibbsState:
     """Full sampler state: data, latents and incrementally maintained
     sufficient statistics.
 
-    S[k] sums the members' Y matrices, LF[k] the matching log(Y!) terms;
-    the noise pools S_hat/n_hat/LF_hat are read off them and n_k, never
-    stored.  A state is single-owner: updates mutate it in place.
+    S[k] sums the members' Y matrices; the noise pools S_hat/n_hat are read
+    off it and n_k, never stored.  LF and LF_hat, the matching log(Y!)
+    sums, are recomputed from Y on each read, for checks only.  A state is
+    single-owner: updates mutate it in place.
     moves tallies the split-merge proposals by outcome and the clusters the
     assignment step opens and closes (MOVE_COUNTS) for the diagnostics; it
     is not part of the sampled state.
@@ -135,14 +139,12 @@ class GibbsState:
         # stale; the caller's array stays writable
         self.X = np.array(X, dtype=np.int64)
         self.X.flags.writeable = False
-        self._support = None
         T, M = self.X.shape
         self.Z = np.zeros(T, dtype=np.int64)
         self.Y = np.zeros((T, M, M), dtype=np.int64)
         self.K = 0
         self.n_k = np.zeros(0, dtype=np.int64)
         self.S = np.zeros((0, M, M), dtype=np.int64)
-        self.LF = np.zeros((0, M, M), dtype=float)
         self.b = np.zeros((0, M), dtype=np.int8)
         self.beta = np.array([1.0])
         self.n_trans = np.zeros((0, 0), dtype=np.int64)
@@ -157,15 +159,21 @@ class GibbsState:
     def M(self):
         return self.X.shape[1]
 
-    @property
+    @functools.cached_property
     def support(self):
         """The _Support tables of every slice, built from X on first use."""
-        if self._support is None:
-            self._support = _support_tables(self.X)
-        return self._support
+        return _support_tables(self.X)
 
-    # the noise pools: per dimension, the diagonal counts, their log(Y!)
-    # terms and the sizes summed over the clusters where it is inactive
+    @functools.cached_property
+    def upper_support(self):
+        """Flat indices into Y of every slice's upper support entries: the
+        only entries on or above the diagonal that can be nonzero."""
+        M2 = self.M * self.M
+        return np.concatenate([t * M2 + tab.flat.compress(tab.upper)
+                               for t, tab in enumerate(self.support)])
+
+    # the noise pools: per dimension, the diagonal counts and the sizes
+    # summed over the clusters where it is inactive
     @property
     def S_hat(self):
         return self.S.diagonal(axis1=1, axis2=2).sum(axis=0, where=self.b == 0)
@@ -175,13 +183,17 @@ class GibbsState:
         return self.n_k @ (self.b == 0)
 
     @property
+    def LF(self):
+        return recompute_stats(self)[2]
+
+    @property
     def LF_hat(self):
-        return self.LF.diagonal(axis1=1, axis2=2).sum(axis=0, where=self.b == 0)
+        return recompute_stats(self)[6]
 
     def clone(self):
         """Own latents and statistics, fresh tallies, shared read-only data."""
         out = copy.copy(self)
-        for name in ("Z", "Y", "n_k", "S", "LF", "b", "beta", "n_trans", "m"):
+        for name in ("Z", "Y", "n_k", "S", "b", "beta", "n_trans", "m"):
             setattr(out, name, getattr(self, name).copy())
         out.moves = collections.Counter()
         return out
@@ -236,7 +248,7 @@ def init_state(data, kind, hp, rng):
     else:
         state.b = np.ones((1, M), dtype=np.int8)
     state.beta = np.array([0.5, 0.5])
-    state.n_k, state.S, state.LF, state.n_trans = recompute_stats(state)[:4]
+    state.n_k, state.S, _, state.n_trans = recompute_stats(state)[:4]
     return state
 
 
@@ -315,9 +327,7 @@ def _categorical_from_log(logw, rng):
 def _remove_from_cluster(state, t):
     """Detach slice t from its cluster's statistics; Z[t] becomes -1."""
     k = int(state.Z[t])
-    Yt = state.Y[t]
-    state.S[k] -= Yt
-    state.LF[k] -= _UNIT.take(Yt)
+    state.S[k] -= state.Y[t]
     state.n_k[k] -= 1
     state.Z[t] = -1
     return k
@@ -325,9 +335,7 @@ def _remove_from_cluster(state, t):
 
 def _add_to_cluster(state, t, k):
     """Attach slice t (whose Y must already match cluster k's support)."""
-    Yt = state.Y[t]
-    state.S[k] += Yt
-    state.LF[k] += _UNIT.take(Yt)
+    state.S[k] += state.Y[t]
     state.n_k[k] += 1
     state.Z[t] = k
 
@@ -338,7 +346,6 @@ def _delete_cluster(state, k):
     keep = np.arange(state.K) != k
     state.n_k = state.n_k[keep]
     state.S = state.S[keep]
-    state.LF = state.LF[keep]
     state.b = state.b[keep]
     state.n_trans = state.n_trans[np.ix_(keep, keep)]
     w = state.beta[k]
@@ -354,7 +361,6 @@ def _create_cluster(state, b_row, rng):
     M = state.M
     state.n_k = np.append(state.n_k, np.int64(0))
     state.S = np.concatenate([state.S, np.zeros((1, M, M), dtype=np.int64)])
-    state.LF = np.concatenate([state.LF, np.zeros((1, M, M))])
     state.b = np.concatenate([state.b, np.asarray(b_row, dtype=np.int8).reshape(1, M)])
     grown = np.zeros((state.K + 1, state.K + 1), dtype=np.int64)
     grown[:state.K, :state.K] = state.n_trans
@@ -564,10 +570,8 @@ def sample_y(t, j, l, state, rng):
     hp = state.hp
     Yt = state.Y[t]
     y0 = int(Yt[j, l])
-    dj = int(Yt[j, j])
-    dl = int(Yt[l, l])
-    rj = y0 + dj
-    rl = y0 + dl
+    rj = y0 + int(Yt[j, j])
+    rl = y0 + int(Yt[l, l])
     V = min(rj, rl) + 1
     Sk = state.S[k]
     sp = int(Sk[j, l]) - y0         # the pair's sum without slice t
@@ -585,21 +589,13 @@ def sample_y(t, j, l, state, rng):
     cum = np.add.accumulate(np.exp(lw - lw[lw.argmax()]))
     pick = min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), V - 1)
     if pick != y0:
-        new_dj = rj - pick
-        new_dl = rl - pick
-        d_pair = float(uv[pick] - uv[y0])
         Sk[j, l] += pick - y0
         Sk[l, j] += pick - y0
         Sk[j, j] += y0 - pick
         Sk[l, l] += y0 - pick
-        LFk = state.LF[k]
-        LFk[j, l] += d_pair
-        LFk[l, j] += d_pair
-        LFk[j, j] += float(uv[new_dj] - uv[dj])
-        LFk[l, l] += float(uv[new_dl] - uv[dl])
         Yt[j, l] = Yt[l, j] = pick
-        Yt[j, j] = new_dj
-        Yt[l, l] = new_dl
+        Yt[j, j] = rj - pick
+        Yt[l, l] = rl - pick
     return state
 
 
@@ -613,9 +609,12 @@ def sample_b(k, j, state, rng):
     fold.  j's noise pool over the other clusters gains k's members when j
     is inactive.
 
+    The log(Y!) terms of the factors both sides share cancel; the price
+    reads only row j and the diagonals of the members.
+
     Toggling re-projects the members' Y matrices: deactivation folds row and
-    column j onto the diagonals, activation leaves row j diagonal-only.  Only
-    row j and the diagonals of the members are read or written.
+    column j onto the diagonals and re-sums S[k] from the members' Y,
+    activation leaves row j diagonal-only.
     """
     if not is_sparse(state.kind):
         raise ValueError("activity indicators only exist for sparse kinds")
@@ -629,31 +628,32 @@ def sample_b(k, j, state, rng):
     idx = np.arange(M)
     others = np.where((state.b[k] == 1) & (idx != j))[0]
     x_j = state.X[members, j]
-    sum_x = int(x_j.sum())
-    glx = float(_UNIT.take(x_j).sum())
 
     s1_ll = state.S[k, others, others]
-    lf1_ll = state.LF[k, others, others]
     if cur:
-        off = state.Y[members, j]           # row j without its diagonal
+        row = state.Y[members, j]
+        off = row.copy()                    # row j without its diagonal
         off[:, j] = 0
         d_o, off_o = state.Y[members[:, None], others, others], off[:, others]
         s0_ll = s1_ll + off_o.sum(axis=0)
-        lf0_ll = lf1_ll + (_UNIT.take(d_o + off_o) - _UNIT.take(d_o)).sum(axis=0)
+        # the log(Y!) terms the sides do not share: row j on the active
+        # side; x_j and the folded diagonals on the inactive side
+        lf0 = float(_UNIT.take(x_j).sum() - _UNIT.take(row).sum()
+                    + (_UNIT.take(d_o + off_o) - _UNIT.take(d_o)).sum())
     else:
-        s0_ll, lf0_ll = s1_ll, lf1_ll      # row j is diagonal-only: nothing folds
+        s0_ll, lf0 = s1_ll, 0.0             # row j is diagonal-only: nothing folds
     rest = 1 - state.b[:, j]
     rest[k] = 0
-    noise1 = (rest @ state.S[:, j, j], rest @ state.n_k, rest @ state.LF[:, j, j])
-    noise0 = (noise1[0] + sum_x, noise1[1] + n, noise1[2] + glx)
+    noise1 = (rest @ state.S[:, j, j], rest @ state.n_k)
+    noise0 = (noise1[0] + int(x_j.sum()), noise1[1] + n)
 
     a, b = hp.a_bar, hp.b_bar
-    side1 = (log_marginal(state.S[k, j, j], n, state.LF[k, j, j], a, b)
-             + log_marginal(state.S[k, j, others], n, state.LF[k, j, others], a, b).sum()
-             + log_marginal(s1_ll, n, lf1_ll, a, b).sum()
-             + log_marginal(*noise1, hp.a_hat, hp.b_hat))
-    side0 = (log_marginal(s0_ll, n, lf0_ll, a, b).sum()
-             + log_marginal(*noise0, hp.a_hat, hp.b_hat))
+    side1 = (log_marginal(state.S[k, j, j], n, 0.0, a, b)
+             + log_marginal(state.S[k, j, others], n, 0.0, a, b).sum()
+             + log_marginal(s1_ll, n, 0.0, a, b).sum()
+             + log_marginal(*noise1, 0.0, hp.a_hat, hp.b_hat))
+    side0 = (log_marginal(s0_ll, n, 0.0, a, b).sum()
+             + log_marginal(*noise0, 0.0, hp.a_hat, hp.b_hat) - lf0)
     c_other = int(state.b[:, j].sum()) - cur
     side1 += np.log(c_other + hp.a_prime)
     side0 += np.log(state.K - 1 - c_other + hp.b_prime)
@@ -665,23 +665,12 @@ def sample_b(k, j, state, rng):
 
     if new == 0:
         # fold row/column j of every member onto the diagonals
-        moved = off.sum(axis=1)
         new_diag = state.Y[members[:, None], idx, idx] + off
+        new_diag[:, j] = x_j                # row j's whole count
         state.Y[members, j] = 0
         state.Y[members, :, j] = 0
         state.Y[members[:, None], idx, idx] = new_diag
-        state.Y[members, j, j] += moved
-        col_moved = off.sum(axis=0)
-        keep = idx != j
-        state.S[k, j, keep] = 0
-        state.S[k, keep, j] = 0
-        state.LF[k, j, keep] = 0.0
-        state.LF[k, keep, j] = 0.0
-        state.S[k, j, j] += int(moved.sum())
-        state.LF[k, j, j] = glx
-        state.S[k, idx, idx] += col_moved * keep
-        lf_diag = _UNIT.take(new_diag).sum(axis=0)
-        state.LF[k, idx[keep], idx[keep]] = lf_diag[keep]
+        state.S[k] = state.Y[members].sum(axis=0)
     state.b[k, j] = new
     return state
 
@@ -735,9 +724,9 @@ def sample_m_beta(state, rng):
 # -log_q >= 0, so no split can be decided before its scan.
 #
 # No split or merge changes a latent Y, so the candidate shares Y with the
-# live state and copies Z alone.  Its S, LF and n_k differ from the state's
-# only by the moved slices: a merge adds kj's sums into ki, a split sums the
-# moved members' Y and log Y! into the new cluster and takes them out of ki.
+# live state and copies Z alone.  Its S and n_k differ from the state's only
+# by the moved slices: a merge adds kj's sums into ki, a split sums the moved
+# members' Y into the new cluster and takes them out of ki.
 # The temporal kinds recount n_trans from the candidate's Z.  Each proposal
 # costs O(K*M^2 + n*M^2 + T) for n moved slices, not a full recompute.
 
@@ -865,14 +854,11 @@ def _one_split_merge(state, rng, jld_cur):
         log_q, sides = _allocation_scan(state, mask, order, i, j, rng)
         new_k = _create_cluster(cand, state.b[ki], rng)
         moved = np.sort(np.append(order[~sides], j))
-        Ym = state.Y[moved]
         cand.Z[moved] = new_k
         cand.n_k[new_k] = len(moved)
-        cand.S[new_k] = Ym.sum(axis=0)
-        cand.LF[new_k] = _UNIT.take(Ym).sum(axis=0)
+        cand.S[new_k] = state.Y[moved].sum(axis=0)
         cand.n_k[ki] -= len(moved)
         cand.S[ki] -= cand.S[new_k]
-        cand.LF[ki] -= cand.LF[new_k]
     else:
         # propose the merge
         cand.Z[cand.Z == kj] = ki
@@ -880,7 +866,6 @@ def _one_split_merge(state, rng, jld_cur):
         k = ki - (ki > kj)
         cand.n_k[k] += state.n_k[kj]
         cand.S[k] += state.S[kj]
-        cand.LF[k] += state.LF[kj]
     if is_temporal(state.kind):
         cand.n_trans = _count_transitions(cand.Z, cand.K)
     jld_cand = joint_log_density(cand)
@@ -906,7 +891,12 @@ def _one_split_merge(state, rng, jld_cur):
 
 def joint_log_density(state):
     """Collapsed joint log density of (Z, Y, b) given the hyperparameters;
-    invariant under cluster relabeling for the exchangeable kinds."""
+    invariant under cluster relabeling for the exchangeable kinds.
+
+    Every factor is evaluated with a zero log(Y!) sum.  Y[t] is zero outside
+    its cluster's factors and the diagonal, and the inactive diagonals are
+    the noise factors', so the factors' log(Y!) sums add up to one term,
+    the sum of log Y[t,j,l]! over j <= l, read on the slices' supports."""
     hp = state.hp
     K = state.K
     T = state.T
@@ -935,12 +925,11 @@ def joint_log_density(state):
                       - _grid(a + b).take(K) - beta0).sum())
     for k in range(K):
         mask = _pair_mask(state.kind, state.b[k], state.M)
-        out += float(log_marginal(state.S[k][mask], state.n_k[k], state.LF[k][mask],
+        out += float(log_marginal(state.S[k][mask], state.n_k[k], 0.0,
                                   hp.a_bar, hp.b_bar).sum())
     if is_sparse(state.kind):
-        out += float(log_marginal(state.S_hat, state.n_hat, state.LF_hat,
-                                  hp.a_hat, hp.b_hat).sum())
-    return out
+        out += float(log_marginal(state.S_hat, state.n_hat, 0.0, hp.a_hat, hp.b_hat).sum())
+    return out - float(_UNIT.take(state.Y.take(state.upper_support)).sum())
 
 
 def _pairs_among(state, k, dims):

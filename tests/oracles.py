@@ -140,7 +140,7 @@ def build_state(kind, X, Z, Y, b, beta, hp):
     state.K = int(state.Z.max()) + 1
     state.b = np.asarray(b, dtype=np.int8).copy()
     state.beta = np.asarray(beta, dtype=float).copy()
-    state.n_k, state.S, state.LF, state.n_trans = gibbs.recompute_stats(state)[:4]
+    state.n_k, state.S, _, state.n_trans = gibbs.recompute_stats(state)[:4]
     return state
 
 
@@ -523,13 +523,7 @@ def reference_sample_b(k, j, state, rng):
         keep = idx != j
         state.S[k, j, keep] = 0
         state.S[k, keep, j] = 0
-        state.LF[k, j, keep] = 0.0
-        state.LF[k, keep, j] = 0.0
         state.S[k, j, j] += int(moved.sum())
-        state.LF[k, j, j] = glx
         state.S[k, idx, idx] += col_moved * keep
-        new_diag = diag_mem + off
-        lf_diag = _UNIT.take(new_diag).sum(axis=0)
-        state.LF[k, idx[keep], idx[keep]] = lf_diag[keep]
     state.b[k, j] = new
     return state

@@ -56,6 +56,13 @@ def test_gen_trace_rejects_bad_spec(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+def test_gen_trace_rejects_a_negative_seed_flag(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert cli.main(["gen-trace", "--seed", "-1", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def save_counts(path, M=2):
     X = np.arange(8 * M).reshape(8, M) % 3
     A = [np.array([t], dtype=np.int64) for t in range(8)]
@@ -174,6 +181,16 @@ def test_aggregate_rejects_a_slice_length_that_is_not_finite_and_positive(
     assert code == cli.EXIT_CONFIG
     assert "config error: slice_secs must be a positive finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("secs", ["0", "-1", "nan"])
+def test_fit_rejects_a_wall_clock_limit_that_is_not_positive(tmp_path, capsys, secs):
+    argv = config_run_argv(tmp_path, "fit") + ["--iters", "2", "--burn-in", "1"]
+    assert cli.main(argv + [f"--wall-clock-secs={secs}"]) == cli.EXIT_CONFIG
+    assert "config error: wall_clock_limit must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out.npz").exists()
+    # inf means no limit
+    assert cli.main(argv + ["--wall-clock-secs=inf"]) == cli.EXIT_OK
 
 
 # the model and the artifact below are binned at 30 s slices, 4096-byte

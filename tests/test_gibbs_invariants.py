@@ -26,6 +26,12 @@ def assert_invariants(state, check_all=True):
     assert np.allclose(state.LF, LF, atol=1e-9)
     assert np.allclose(state.LF_hat, LF_hat, atol=1e-9)
     assert state.K == len(np.unique(state.Z))
+    # Y[t] is zero outside its cluster's factors and the diagonal, where
+    # inactive dimensions keep their noise counts
+    eye = np.eye(state.M, dtype=bool)
+    for t, k in enumerate(state.Z):
+        mask = gibbs._pair_mask(state.kind, state.b[k], state.M)
+        assert not state.Y[t][~(mask | mask.T | eye)].any(), f"Y[{t}] off its support"
 
 
 def fuzz_data(T=12, M=3, seed=0):
@@ -85,7 +91,6 @@ def test_relabeling_leaves_joint_density_unchanged():
         relabeled.Z = inv[state.Z]
         relabeled.n_k = state.n_k[perm]
         relabeled.S = state.S[perm]
-        relabeled.LF = state.LF[perm]
         relabeled.b = state.b[perm]
         relabeled.beta = np.append(state.beta[:-1][perm], state.beta[-1])
         assert gibbs.joint_log_density(relabeled) == pytest.approx(base, abs=1e-9)
