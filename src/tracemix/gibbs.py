@@ -116,6 +116,9 @@ class FitConfig:
             raise ValueError("thinning must be >= 1")
         if not self.wall_clock_limit > 0:    # NaN fails too; inf means no limit
             raise ValueError("wall_clock_limit must be positive")
+        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 class GibbsState:
@@ -167,10 +170,20 @@ class GibbsState:
     @functools.cached_property
     def upper_support(self):
         """Flat indices into Y of every slice's upper support entries: the
-        only entries on or above the diagonal that can be nonzero."""
+        only entries on or above the diagonal that can be nonzero (on the
+        diagonal kinds, the diagonal ones).  Slice t's entries are
+        upper_support[upper_offsets[t]:upper_offsets[t + 1]]."""
         M2 = self.M * self.M
-        return np.concatenate([t * M2 + tab.flat.compress(tab.upper)
+        keep = "diag" if is_diagonal(self.kind) else "upper"
+        return np.concatenate([t * M2 + tab.flat.compress(getattr(tab, keep))
                                for t, tab in enumerate(self.support)])
+
+    @functools.cached_property
+    def upper_offsets(self):
+        """The T + 1 offsets of the slices' runs in upper_support."""
+        s = np.array([len(tab.sup) for tab in self.support], dtype=np.int64)
+        return np.concatenate(([0], np.cumsum(s if is_diagonal(self.kind)
+                                              else s * (s + 1) // 2)))
 
     # the noise pools: per dimension, the diagonal counts and the sizes
     # summed over the clusters where it is inactive
@@ -573,6 +586,11 @@ def sample_y(t, j, l, state, rng):
     rj = y0 + int(Yt[j, j])
     rl = y0 + int(Yt[l, l])
     V = min(rj, rl) + 1
+    if V == 1:
+        # a point mass at y0 = 0: draw the uniform the general path draws,
+        # so the stream stays put (ROADMAP item 1 may drop this draw)
+        rng.random()
+        return state
     Sk = state.S[k]
     sp = int(Sk[j, l]) - y0         # the pair's sum without slice t
     tj = int(Sk[j, j]) + y0         # each diagonal's sum with t at v = 0
@@ -727,8 +745,10 @@ def sample_m_beta(state, rng):
 # live state and copies Z alone.  Its S and n_k differ from the state's only
 # by the moved slices: a merge adds kj's sums into ki, a split sums the moved
 # members' Y into the new cluster and takes them out of ki.
-# The temporal kinds recount n_trans from the candidate's Z.  Each proposal
-# costs O(K*M^2 + n*M^2 + T) for n moved slices, not a full recompute.
+# The temporal kinds recount n_trans from the candidate's Z.  A scan over n
+# slices costs O(M^2 + E) for their E nonzero masked entries; the candidate
+# costs O(K*M^2 + T), plus O(n*M^2) for a split, which sums the moved
+# members' Y.  Neither is a full recompute.
 
 _LAUNCH_SCANS = 1
 
@@ -754,19 +774,42 @@ def _allocation_scan(state, mask, order, seed_a, seed_b, rng,
     only (shared noise factors cancel between sides, and so does the log Y!
     term of the slice being placed).  Returns (log_q, sides), sides[i] True
     when order[i] is on the side of seed_a.
+
+    A masked entry where the slice's y is 0 adds lgamma(a + S) -
+    lgamma(a + S) = 0 to a side's gain, so each slice is priced on its
+    nonzero masked entries alone, gathered once from upper_support.  The
+    loop then runs in plain Python over lists: each side's sums over the
+    flat M x M index, and the lgamma grid cut to the largest sum an entry
+    can reach.  A slice stays in its side's sums while it is priced, so
+    only a move writes them.
     """
     hp = state.hp
-    Yo = state.Y[order][:, mask]                       # (n, P)
-    y_tot = Yo.sum(axis=1).tolist()
-    S = np.stack((state.Y[seed_a][mask], state.Y[seed_b][mask]))
-    tot = S.sum(axis=1).tolist()                       # per-side count totals
+    n, M2 = len(order), state.M * state.M
+    # the runs of upper_support that belong to order, end to end
+    off = state.upper_offsets
+    lo = off[order]
+    run = off[order + 1] - lo
+    ends = np.cumsum(run)
+    pos = np.arange(int(run.sum())) + np.repeat(lo - ends + run, run)
+    ids = state.upper_support[pos]
+    ys = state.Y.take(ids)
+    es = ids % M2
+    keep = (ys > 0) & mask.ravel().take(es)
+    ys, es = ys[keep], es[keep]
+    cut = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], ends))].tolist()
+    ya, yb = state.Y[seed_a], state.Y[seed_b]
+    # no side sum can exceed both anchors plus every member
+    top = int((ya.ravel() + yb.ravel() + np.bincount(es, ys, minlength=M2)).max())
+    ys, es = ys.tolist(), es.tolist()
+    ent = [(es[cut[i]:cut[i + 1]], ys[cut[i]:cut[i + 1]]) for i in range(n)]
+    y_tot = [sum(y) for _, y in ent]
+    S = [ya.ravel().tolist(), yb.ravel().tolist()]     # per-side sums
+    tot = [int(ya[mask].sum()), int(yb[mask].sum())]   # per-side count totals
     cnt = [1, 1]                                       # per-side slice counts
     ga = _grid(hp.a_bar)
-    ga.take(S.sum(axis=0) + Yo.sum(axis=0))            # covers every side sum
-    lg = ga.vals
-    G = lg[S].sum(axis=1).tolist()                     # sum gammaln(a + S) per side
-    pa = S.shape[1] * hp.a_bar
-    n = len(Yo)
+    ga.take(top)
+    lg = ga.vals[:top + 1].tolist()
+    pa = int(mask.sum()) * hp.a_bar
     log_n = np.log(np.arange(1.0, n + 2.0)).tolist()
     log_bn = np.log(hp.b_bar + np.arange(1.0, n + 3.0)).tolist()
 
@@ -778,24 +821,24 @@ def _allocation_scan(state, mask, order, seed_a, seed_b, rng,
                 + log_bn[c - 1] * (s_tot + pa))
 
     side = [-1] * n                                    # 0: seed_a's side, 1: seed_b's
+    s0, s1 = S
     log_q = 0.0
     for scan in range(_LAUNCH_SCANS + 2):
         final = scan == _LAUNCH_SCANS + 1
         for i in range(n):
-            y, yt, cur = Yo[i], y_tot[i], side[i]
-            # G: each side's gammaln sum without y, L: with y.  One lookup
-            # serves both sides: y's own side is looked up with y taken out,
-            # since its current sum already holds y.
-            idx = S + y
+            (e_i, y_i), yt, cur = ent[i], y_tot[i], side[i]
+            # each side's change in its gammaln sum when y joins it; y's own
+            # side already holds it, so it is read with y taken out
+            in0, in1 = cur == 0, cur == 1
+            gain0 = gain1 = 0.0
+            for e, y in zip(e_i, y_i):
+                v0, v1 = s0[e] - in0 * y, s1[e] - in1 * y
+                gain0 += lg[v0 + y] - lg[v0]
+                gain1 += lg[v1 + y] - lg[v1]
             if cur >= 0:
-                S[cur] -= y
-                idx[cur] = S[cur]
                 cnt[cur] -= 1
                 tot[cur] -= yt
-            L = lg[idx].sum(axis=1).tolist()
-            if cur >= 0:
-                G[cur], L[cur] = L[cur], G[cur]
-            gap = score(0, L[0] - G[0], yt) - score(1, L[1] - G[1], yt)
+            gap = score(0, gain0, yt) - score(1, gain1, yt)
             log_pa = _log_sigmoid(gap)
             if final and actual_sides is not None:
                 new = 0 if actual_sides[i] else 1
@@ -803,8 +846,14 @@ def _allocation_scan(state, mask, order, seed_a, seed_b, rng,
                 new = 0 if math.log(rng.random()) < log_pa else 1
             if final:
                 log_q += log_pa if new == 0 else _log_sigmoid(-gap)
-            S[new] += y
-            G[new] = L[new]
+            if new != cur:
+                s = S[new]
+                for e, y in zip(e_i, y_i):
+                    s[e] += y
+                if cur >= 0:
+                    s = S[cur]
+                    for e, y in zip(e_i, y_i):
+                        s[e] -= y
             cnt[new] += 1
             tot[new] += yt
             side[i] = new

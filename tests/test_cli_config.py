@@ -193,6 +193,25 @@ def test_fit_rejects_a_wall_clock_limit_that_is_not_positive(tmp_path, capsys, s
     assert cli.main(argv + ["--wall-clock-secs=inf"]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_fit_rejects_a_negative_seed_by_name(tmp_path, capsys, source):
+    argv = config_run_argv(tmp_path, "fit") + ["--iters", "2", "--burn-in", "1"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1} if source == "file" else {}))
+    extra = ["--seed", "-1"] if source == "flag" else []
+    assert cli.main(["--config", str(config)] + argv + extra) == cli.EXIT_CONFIG
+    assert ("config error: seed must be a non-negative integer, got -1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.npz").exists()
+
+
+def test_fit_config_takes_only_a_non_negative_integer_seed():
+    gibbs.FitConfig(seed=np.int64(3))
+    for seed in (-1, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            gibbs.FitConfig(seed=seed)
+
+
 # the model and the artifact below are binned at 30 s slices, 4096-byte
 # blocks and M bins, counting per request; only aggregate has --per-block
 @pytest.mark.parametrize("command", ["simulate", "eval", "fit"])

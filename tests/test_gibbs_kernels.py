@@ -1,8 +1,10 @@
 """The sparsity-aware sampler kernels against the kernels they replaced.
 
 A sweep skips the latent pairs that have a zero count, so those updates must
-be no-ops; the one-array split-merge scan must reproduce the per-slice
-reference in oracles.py draw for draw from the same seed."""
+be no-ops, and so must a live pair whose conditional is a point mass; the
+split-merge scan, which prices each slice on its nonzero masked entries,
+must reproduce the per-slice reference in oracles.py draw for draw from the
+same seed."""
 
 import itertools
 import time
@@ -63,8 +65,29 @@ def test_skipped_pairs_are_point_masses(kind):
                 gibbs.sample_y(t, *pair, st, np.random.default_rng(seed))
                 assert np.array_equal(st.Y, state.Y)
                 assert np.array_equal(st.S, state.S)
-                assert np.array_equal(st.LF, state.LF)
     assert skipped > 50
+
+
+@pytest.mark.parametrize("kind", [gibbs.DP_MMVP, gibbs.SPARSE_DP_MMVP])
+def test_a_point_mass_pair_draws_one_uniform_and_moves_nothing(kind):
+    # min(rj, rl) = 0 leaves y = 0 the only value; the draw still spends the
+    # one uniform of the general path, so the stream is the same either way
+    state = random_state(kind, seed=8)
+    live = 0
+    for t in range(state.T):
+        Yt = state.Y[t]
+        for j, l in gibbs.active_pairs(state, int(state.Z[t])):
+            if min(Yt[j, j], Yt[l, l]) + Yt[j, l] > 0:
+                continue
+            live += not zero_count(state, t, (j, l))
+            st = state.clone()
+            rng, twin = np.random.default_rng(t), np.random.default_rng(t)
+            gibbs.sample_y(t, j, l, st, rng)
+            twin.random()
+            assert np.array_equal(st.Y, state.Y)
+            assert np.array_equal(st.S, state.S)
+            assert rng.bit_generator.state == twin.bit_generator.state
+    assert live > 20
 
 
 @pytest.mark.parametrize("kind", [gibbs.DP_MMVP, gibbs.HMM_DP_MMVP,
@@ -138,6 +161,37 @@ def test_allocation_scan_matches_reference(kind):
                          actual=state.Z[order] == 0)
 
 
+def test_allocation_scan_matches_reference_on_padded_sparse_slices():
+    # six all-zero bins, active in every cluster, widen the mask with
+    # entries the scan must skip; the inactive bins keep nonzero diagonals
+    # outside the mask, which it must leave out
+    outside = 0
+    for seed in range(4):
+        base = random_state(gibbs.SPARSE_DP_MMVP, seed=40 + seed, T=60, K=2, shared_b=True)
+        (T, M), W = base.X.shape, base.M + 6
+        X = np.zeros((T, W), dtype=np.int64)
+        X[:, :M] = base.X
+        Y = np.zeros((T, W, W), dtype=np.int64)
+        Y[:, :M, :M] = base.Y
+        act = np.ones((base.K, W), dtype=np.int8)
+        act[:, :M] = base.b
+        state = oracles.build_state(base.kind, X, base.Z, Y, act, base.beta, base.hp)
+        mask = gibbs._pair_mask(state.kind, state.b[0], W)
+        off_mask = gibbs._fixed_mask(False, W) & ~mask
+        outside += sum(bool(state.Y[t][off_mask].any()) for t in range(T))
+        pick = np.random.default_rng(seed)
+        members = np.flatnonzero(state.Z == 0)
+        a, b = (int(v) for v in pick.choice(members, 2, replace=False))
+        order = members[(members != a) & (members != b)]
+        assert_same_scan(state, mask, order, a, b, seed)
+        assert_same_scan(state, mask, order, a, b, seed,
+                         actual=pick.random(len(order)) < 0.5)
+        a, b = int(np.flatnonzero(state.Z == 0)[0]), int(np.flatnonzero(state.Z == 1)[0])
+        order = np.flatnonzero((state.Z <= 1) & (np.arange(T) != a) & (np.arange(T) != b))
+        assert_same_scan(state, mask, order, a, b, seed, actual=state.Z[order] == 0)
+    assert outside > 100
+
+
 def test_allocation_scan_of_no_slices():
     state = random_state(gibbs.DP_MMVP, seed=3)
     mask = gibbs._pair_mask(state.kind, state.b[0], state.M)
@@ -199,7 +253,7 @@ def test_split_merge_carries_the_adopted_density(kind, monkeypatch):
     assert len(outcomes) == 40
 
 
-STATE_ARRAYS = ("Z", "Y", "S", "LF", "n_k", "b", "beta", "n_trans")
+STATE_ARRAYS = ("Z", "Y", "S", "n_k", "b", "beta", "n_trans")
 
 
 @pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
@@ -342,6 +396,16 @@ def test_the_data_is_read_only_and_the_support_tables_match_it(kind):
             flat = np.ravel_multi_index(np.ix_(sup, sup), X.shape[1:] * 2).ravel()
             assert np.array_equal(tab.flat, flat)
             assert np.array_equal(tab.x_sup, X[t, sup])
+        # each slice's run of upper entries: the diagonal ones on the
+        # diagonal kinds, every j <= l on the others
+        M = X.shape[1]
+        runs = np.split(st.upper_support, st.upper_offsets[1:-1])
+        assert len(runs) == len(X) and st.upper_offsets[-1] == len(st.upper_support)
+        for t, run in enumerate(runs):
+            sup = np.flatnonzero(X[t]).tolist()
+            want = [(j, l) for j in sup for l in sup
+                    if (j == l if gibbs.is_diagonal(kind) else j <= l)]
+            assert [divmod(v - t * M * M, M) for v in run.tolist()] == want
 
 
 @pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
@@ -356,8 +420,7 @@ def test_a_slice_that_stays_leaves_the_statistics_bit_identical(kind):
             if st.K != state.K or st.Z[t] != state.Z[t]:
                 continue
             stayed += 1
-            for name in ("Z", "Y", "S", "LF", "n_k", "n_trans", "b",
-                         "S_hat", "n_hat", "LF_hat"):
+            for name in ("Z", "Y", "S", "n_k", "n_trans", "b", "S_hat", "n_hat"):
                 assert getattr(st, name).tobytes() == getattr(state, name).tobytes(), name
     assert stayed > 20
 
@@ -377,7 +440,7 @@ def test_sample_b_matches_the_whole_matrix_reference(kind):
                     rng, ref_rng = (np.random.default_rng(100 * seed + draw) for _ in range(2))
                     gibbs.sample_b(k, j, st, rng)
                     oracles.reference_sample_b(k, j, ref, ref_rng)
-                    for name in ("b", "Y", "S", "LF", "S_hat", "n_hat", "LF_hat"):
+                    for name in ("b", "Y", "S", "S_hat", "n_hat"):
                         assert getattr(st, name).tobytes() == getattr(ref, name).tobytes(), name
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
                     if st.b[k, j] != state.b[k, j]:
@@ -389,10 +452,11 @@ def test_sample_b_matches_the_whole_matrix_reference(kind):
 # ---------------------------------------------------------------------------
 # the assignment step costs the support, not M^2
 
-def padded_state(M, T=120):
+def padded_state(M, T=120, kind=gibbs.SPARSE_HMM_DP_MMVP):
     """The planted clusters of the recovery fixture's first T slices, with
     diagonal latents, their counts zero-padded from 10 bins to M: the same
-    support in a wider space, padded bins inactive everywhere."""
+    support in a wider space.  For the sparse kinds the padded bins are
+    inactive everywhere, for the others every bin is active."""
     spec = synth.default_recovery_spec(seed=0)
     seq, Z = synth.gen_count_sequence(spec)
     labels, Z = np.unique(Z[:T], return_inverse=True)
@@ -400,10 +464,13 @@ def padded_state(M, T=120):
     X[:, :spec.M] = seq.X[:T]
     Y = np.zeros((T, M, M), dtype=np.int64)
     Y[:, np.arange(M), np.arange(M)] = X
-    b = np.zeros((len(labels), M), dtype=np.int8)
-    b[:, :spec.M] = [spec.clusters[k].b for k in labels]
+    if gibbs.is_sparse(kind):
+        b = np.zeros((len(labels), M), dtype=np.int8)
+        b[:, :spec.M] = [spec.clusters[k].b for k in labels]
+    else:
+        b = np.ones((len(labels), M), dtype=np.int8)
     beta = np.full(len(labels) + 1, 1.0 / (len(labels) + 1))
-    return oracles.build_state(gibbs.SPARSE_HMM_DP_MMVP, X, Z, Y, b, beta, Hyperparams())
+    return oracles.build_state(kind, X, Z, Y, b, beta, Hyperparams())
 
 
 def test_assignment_step_cost_does_not_grow_with_the_bins():
@@ -419,6 +486,25 @@ def test_assignment_step_cost_does_not_grow_with_the_bins():
             for t in range(st.T):
                 gibbs.sample_z_hdp(t, st, rng)
             best[M] = min(best[M], (time.perf_counter() - started) / st.T)
+    assert best[80] <= 2 * best[10], best
+
+
+def test_allocation_scan_cost_does_not_grow_with_the_bins():
+    # a split scan of every slice between two anchors, every bin active, so
+    # the mask holds all M (M + 1) / 2 upper entries; both widths are timed
+    # in one process, alternately, and the best pass of each is kept.  A
+    # scan that priced every masked entry took about 4.6x as long per slice
+    # at M = 80
+    states = {M: padded_state(M, kind=gibbs.DP_MMVP) for M in (10, 80)}
+    best = dict.fromkeys(states, np.inf)
+    for rep in range(7):
+        for M, state in states.items():
+            mask = gibbs._pair_mask(state.kind, state.b[0], M)
+            order = np.arange(2, state.T)
+            rng = np.random.default_rng(rep)
+            started = time.perf_counter()
+            gibbs._allocation_scan(state, mask, order, 0, 1, rng)
+            best[M] = min(best[M], (time.perf_counter() - started) / len(order))
     assert best[80] <= 2 * best[10], best
 
 
