@@ -9,10 +9,13 @@ and the auxiliary table counts m.
 
 Bookkeeping is remove-then-add with immediate garbage collection of empty
 clusters.  The defining constraint sum_l Y[t,j,l] == X[t,j] holds after every
-individual update; whenever a slice lands in a cluster whose active set does
-not cover its off-diagonal mass, that mass is folded back onto the diagonals
-(the minimal change preserving row sums).  So Y[t] is zero outside its
-cluster's collapsed factors and the diagonal.  The sparse kinds' noise pools
+individual update, and Y[t] is zero outside its cluster's collapsed factors
+and the diagonal: under the sparse model Y[t,j,l], j != l, is 0 unless j and
+l are both active in t's cluster.  So the sparse kinds' assignment step and
+activity step are Gibbs steps given Y that leave it as it is.  A cluster or
+candidate whose active set does not cover Y[t]'s off-diagonal mass has
+weight 0, and a dimension stays active while its members' row of Y holds
+off-diagonal mass.  Only sample_y moves Y.  The sparse kinds' noise pools
 are read off the diagonals of S and n_k, so no update keeps them.  No
 statistic keeps the factors' log(Y!) sums either: they depend on Y alone,
 and the joint density reads them off Y (joint_log_density).
@@ -36,7 +39,7 @@ old vector when it was alone), share the new-cluster prior weight.  The step
 is exact for any number of candidates.
 
 A candidate is scored on the slice's support alone, the upper entries among
-its nonzero bins, since every other entry of its projected Y is zero.  For
+its nonzero bins, since every other entry of Y[t] is zero.  For
 y = 0, _log_gain is -(a + S) * log((b + n + 1) / (b + n)), so the zero
 entries of a candidate's P masked ones add up to one closed-form term in the
 masked total T of its S, which the diagonal of S and the row-sum identity
@@ -280,7 +283,7 @@ def _fixed_mask(diagonal, M):
 # Per-slice constants of the assignment step, read off X: the nonzero bins
 # of X[t], the flat indices of their s x s block in an M x M matrix
 # (row-major) and X[t] on the bins; then the _block_masks of size s.
-_Support = collections.namedtuple("_Support", "sup flat x_sup rows cols diag upper row_off")
+_Support = collections.namedtuple("_Support", "sup flat x_sup rows cols diag upper")
 
 
 def _support_tables(X):
@@ -297,11 +300,9 @@ def _support_tables(X):
 @functools.lru_cache(maxsize=None)
 def _block_masks(s):
     """Over a flattened s x s block, as integers shared read-only: each
-    entry's row and column, the diagonal and upper-triangle masks, and the
-    (s * s, s) matrix that sums each row's off-diagonal entries."""
+    entry's row and column, and the diagonal and upper-triangle masks."""
     j, l = np.indices((s, s)).reshape(2, -1)
-    out = (j, l, (j == l).astype(np.int64), (j <= l).astype(np.int64),
-           ((j != l)[:, None] & (j[:, None] == np.arange(s))).astype(np.int64))
+    out = (j, l, (j == l).astype(np.int64), (j <= l).astype(np.int64))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -331,7 +332,9 @@ def _pair_mask(kind, b_row, M):
 
 
 def _categorical_from_log(logw, rng):
-    """One draw from the weights exp(logw), a list of Python floats."""
+    """One draw from the weights exp(logw), a list of Python floats.  An
+    entry of weight 0 (logw -inf) is never drawn: the rounded product of
+    rng.random() < 1 and cum[-1] >= 1 stays below cum[-1]."""
     top = max(logw)
     cum = list(itertools.accumulate([math.exp(v - top) for v in logw]))
     return min(bisect.bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
@@ -388,16 +391,15 @@ def _create_cluster(state, b_row, rng):
 def _f_candidates(t, state, aux, home=None):
     """Log predictive of slice t joining each of the K clusters and each
     empty candidate with an activity row of aux: the change of every active
-    collapsed factor, on Y[t] projected onto the row's active set, plus for
-    sparse kinds the noise factors of its inactive dimensions, scored on the
-    nonzero bins sup of X[t] (module docstring).  With home given, t's Y is
-    still in S[home]; n_k must not count it.
-    Returns (scores, Yp, sup): Yp holds each row's projection of
-    Y[t][sup, sup] for the sparse kinds, else that block itself."""
+    collapsed factor on Y[t], plus for sparse kinds the noise factors of its
+    inactive dimensions, scored on the nonzero bins sup of X[t] (module
+    docstring).  A sparse row whose active set misses a dimension that holds
+    off-diagonal mass of Y[t] cannot hold Y[t] and scores -inf.  With home
+    given, t's Y is still in S[home]; n_k must not count it."""
     hp, kind = state.hp, state.kind
     sparse = is_sparse(kind)
     K, M, S = state.K, state.M, state.S
-    sup, flat, x_sup, rows, cols, dm, um, row_off = state.support[t]
+    sup, flat, x_sup, rows, cols, dm, um = state.support[t]
     s = len(sup)
     a = hp.a_bar
     twice_diag, ones, a_factors = _count_weights(is_diagonal(kind), M, a)
@@ -416,20 +418,16 @@ def _f_candidates(t, state, aux, home=None):
         off = 1 - act
         diag_off = Sf[:, ::M + 1] * off[:K]
         T -= diag_off @ ones
-        # fold the mass of pairs outside each row's active set onto the diagonals
         on = act.take(sup, axis=1)
-        ok = on.take(rows, axis=1) & on.take(cols, axis=1)
-        Yp = Ys * ok
-        Yp[:, ::s + 1] = x_sup - Yp @ row_off
-        fm = ok & um
+        fm = on.take(rows, axis=1) & on.take(cols, axis=1) & um
     else:
-        Yp, fm = Ys, dm if is_diagonal(kind) else um
+        fm = dm if is_diagonal(kind) else um
     if home is not None:
         Ss[home] -= Ys
         T[home] -= Ys @ (fm[home] if sparse else fm)
     log_n1, log_n = _log_grid(hp.b_bar + 1.0).take(n), _log_grid(hp.b_bar).take(n)
     g = _grid(a)
-    gain = g.take(Ss + Yp) - g.take(Ss) - Yp * log_n1[:, None] - _UNIT.take(Yp)
+    gain = g.take(Ss + Ys) - g.take(Ss) - Ys * log_n1[:, None] - _UNIT.take(Ys)
     aPT = a_factors.take(act @ ones)
     aPT[:K] += T
     out = np.add.reduce(gain * fm, 1) - aPT * (log_n1 - log_n)
@@ -441,10 +439,9 @@ def _f_candidates(t, state, aux, home=None):
         if home is not None:
             S_hat -= x * off[home]
         out += off @ _log_gain(S_hat, n @ off, x, hp.a_hat, hp.b_hat)
-        Yp = Yp.reshape(R, s, s)
-    else:
-        Yp = Ys.reshape(s, s)
-    return out, Yp, sup
+        # the bins whose row of Y[t] holds off-diagonal mass, by the row sums
+        out[(1 - on) @ (x_sup > Ys[::s + 1]) > 0] = -np.inf
+    return out
 
 
 def f_new_sparse(t, state, rng, old_b=None):
@@ -538,12 +535,12 @@ def _sample_z(t, state, rng):
     else:
         state.n_k[old_k] -= 1
         state.Z[t] = -1
-    sparse = is_sparse(state.kind)
     K = state.K
-    aux = f_new_sparse(t, state, rng, old_b) if sparse else np.ones((1, state.M), dtype=np.int8)
+    aux = (f_new_sparse(t, state, rng, old_b) if is_sparse(state.kind)
+           else np.ones((1, state.M), dtype=np.int8))
     prior = _log_z_weights(state, prev_k, next_k)
     prior[K:] = [prior[K] - math.log(len(aux))] * len(aux)
-    scores, Yp, sup = _f_candidates(t, state, aux, home)
+    scores = _f_candidates(t, state, aux, home)
     pick = _categorical_from_log([p + s for p, s in zip(prior, scores.tolist())], rng)
     if home is not None:
         state.n_k[home] += 1
@@ -551,8 +548,6 @@ def _sample_z(t, state, rng):
     if pick != home:
         if home is not None:
             _remove_from_cluster(state, t)
-        if sparse:
-            state.Y[t].put(state.support[t].flat, Yp[pick])
         if pick >= K:
             pick = _create_cluster(state, aux[pick - K], rng)
             state.moves["clusters_opened"] += 1
@@ -618,78 +613,40 @@ def sample_y(t, j, l, state, rng):
 
 
 def sample_b(k, j, state, rng):
-    """Resample dimension j's activity in cluster k from its two-way
-    conditional: the collapsed Beta-Bernoulli prior times the collapsed
-    likelihood of each side's canonical latent configuration.
+    """Resample dimension j's activity in cluster k from its conditional
+    given Y: the collapsed Beta-Bernoulli prior times the collapsed
+    likelihood of Y under each value.  Y is never written.
 
-    One path prices both directions: while j is inactive the members' row j
-    is diagonal-only, so the active side's formulas hold with nothing to
-    fold.  j's noise pool over the other clusters gains k's members when j
-    is inactive.
-
-    The log(Y!) terms of the factors both sides share cancel; the price
-    reads only row j and the diagonals of the members.
-
-    Toggling re-projects the members' Y matrices: deactivation folds row and
-    column j onto the diagonals and re-sums S[k] from the members' Y,
-    activation leaves row j diagonal-only.
+    While the members hold off-diagonal mass in row j, b[k, j] = 0 has
+    probability 0, so j stays active and nothing is drawn.  Otherwise row j
+    is diagonal-only: the active side prices j's diagonal and its zero pairs
+    with the other active dimensions in k, the inactive side adds the
+    diagonal to j's noise pool over the other clusters.  Every other factor,
+    and every log(Y!) term, is shared and cancels.
     """
     if not is_sparse(state.kind):
         raise ValueError("activity indicators only exist for sparse kinds")
-    if state.n_k[k] == 0:
+    n = int(state.n_k[k])
+    if n == 0:
         raise ValueError("cluster is empty")
     hp = state.hp
-    M = state.M
-    members = np.where(state.Z == k)[0]
-    n = len(members)
     cur = int(state.b[k, j])
-    idx = np.arange(M)
-    others = np.where((state.b[k] == 1) & (idx != j))[0]
-    x_j = state.X[members, j]
-
-    s1_ll = state.S[k, others, others]
-    if cur:
-        row = state.Y[members, j]
-        off = row.copy()                    # row j without its diagonal
-        off[:, j] = 0
-        d_o, off_o = state.Y[members[:, None], others, others], off[:, others]
-        s0_ll = s1_ll + off_o.sum(axis=0)
-        # the log(Y!) terms the sides do not share: row j on the active
-        # side; x_j and the folded diagonals on the inactive side
-        lf0 = float(_UNIT.take(x_j).sum() - _UNIT.take(row).sum()
-                    + (_UNIT.take(d_o + off_o) - _UNIT.take(d_o)).sum())
-    else:
-        s0_ll, lf0 = s1_ll, 0.0             # row j is diagonal-only: nothing folds
+    row = state.S[k, j]
+    x_j = int(row.sum())                # the members' count of j, by the row sums
+    if x_j > row[j]:
+        return state
     rest = 1 - state.b[:, j]
     rest[k] = 0
     noise1 = (rest @ state.S[:, j, j], rest @ state.n_k)
-    noise0 = (noise1[0] + int(x_j.sum()), noise1[1] + n)
-
     a, b = hp.a_bar, hp.b_bar
-    side1 = (log_marginal(state.S[k, j, j], n, 0.0, a, b)
-             + log_marginal(state.S[k, j, others], n, 0.0, a, b).sum()
-             + log_marginal(s1_ll, n, 0.0, a, b).sum()
+    side1 = (log_marginal(x_j, n, 0.0, a, b)
+             + (int(state.b[k].sum()) - cur) * log_marginal(0, n, 0.0, a, b)
              + log_marginal(*noise1, 0.0, hp.a_hat, hp.b_hat))
-    side0 = (log_marginal(s0_ll, n, 0.0, a, b).sum()
-             + log_marginal(*noise0, 0.0, hp.a_hat, hp.b_hat) - lf0)
+    side0 = log_marginal(noise1[0] + x_j, noise1[1] + n, 0.0, hp.a_hat, hp.b_hat)
     c_other = int(state.b[:, j].sum()) - cur
     side1 += np.log(c_other + hp.a_prime)
     side0 += np.log(state.K - 1 - c_other + hp.b_prime)
-
-    p1 = 1.0 / (1.0 + np.exp(-(side1 - side0)))
-    new = 1 if rng.random() < p1 else 0
-    if new == cur:
-        return state
-
-    if new == 0:
-        # fold row/column j of every member onto the diagonals
-        new_diag = state.Y[members[:, None], idx, idx] + off
-        new_diag[:, j] = x_j                # row j's whole count
-        state.Y[members, j] = 0
-        state.Y[members, :, j] = 0
-        state.Y[members[:, None], idx, idx] = new_diag
-        state.S[k] = state.Y[members].sum(axis=0)
-    state.b[k, j] = new
+    state.b[k, j] = rng.random() < math.exp(_log_sigmoid(side1 - side0))
     return state
 
 

@@ -156,21 +156,6 @@ def full_joint(X, Z, Y, b, beta, hp, temporal, sparse, diag):
     return out
 
 
-def project(Yt, b_row):
-    """Reference re-projection: fold off-support off-diagonal mass onto the
-    two diagonals."""
-    Yt = np.array(Yt, dtype=np.int64, copy=True)
-    M = len(b_row)
-    for j in range(M):
-        for l in range(j + 1, M):
-            if not (b_row[j] and b_row[l]) and Yt[j, l]:
-                v = Yt[j, l]
-                Yt[j, j] += v
-                Yt[l, l] += v
-                Yt[j, l] = Yt[l, j] = 0
-    return Yt
-
-
 def reference_parse_trace(byte_stream, format_id="msr", block_size=4096):
     """Row-by-row CSV parse into time-sorted TraceEvent records: the parser
     the columnar one replaced, kept as the reference for its values and for
@@ -404,50 +389,36 @@ def reference_allocation_scan(state, mask, order, seed_a, seed_b, rng,
 def reference_f_candidates(t, state, b, S, n):
     """Log predictive of slice t joining each candidate cluster r, given its
     activity row b[r], summed latent matrix S[r] and size n[r]: the change of
-    every active collapsed factor, on Y[t] projected onto the row's active
-    set, plus for sparse kinds the noise factors of its inactive dimensions.
-    Returns (scores, Yp): for the sparse kinds Yp holds the (R, M, M)
-    projections, otherwise it is Y[t] itself, which every row shares."""
-    from tracemix.gibbs import _log_gain, _pair_mask, is_sparse
+    every active collapsed factor on Y[t], plus for sparse kinds the noise
+    factors of its inactive dimensions.  A sparse row that leaves an
+    off-diagonal entry of Y[t] outside its active pairs cannot hold Y[t] and
+    scores -inf."""
+    from tracemix.gibbs import _fixed_mask, _log_gain, _pair_mask, is_sparse
     hp = state.hp
+    Yt = state.Y[t]
     if is_sparse(state.kind):
         act = b.astype(bool)
-        Yp, fm = _reference_project_batch(state.Y[t], act)
+        pair_ok = act[:, :, None] & act[:, None, :]
+        fm = _fixed_mask(False, state.M)[None] & pair_ok
+        stray = (Yt[None] > 0) & ~pair_ok & ~_fixed_mask(True, state.M)[None]
     else:
-        Yp, fm = state.Y[t], _pair_mask(state.kind, None, state.M)
-    gain = _log_gain(S, n[:, None, None], Yp, hp.a_bar, hp.b_bar)
+        fm = _pair_mask(state.kind, None, state.M)
+    gain = _log_gain(S, n[:, None, None], Yt, hp.a_bar, hp.b_bar)
     out = np.where(fm, gain, 0.0).sum(axis=(1, 2))
     if is_sparse(state.kind):
         # per-dimension noise predictive is cluster-independent
         out += (~act).astype(float) @ _log_gain(state.S_hat, state.n_hat, state.X[t],
                                                 hp.a_hat, hp.b_hat)
-    return out, Yp
-
-
-def _reference_project_batch(Yt, act):
-    """Yt projected onto each activity row of act (R, M) bool: off-diagonal
-    mass at pairs outside the row's active set is folded onto the two
-    diagonals involved, which preserves all row sums.  Returns the (R, M, M)
-    projections and the upper-triangular masks of each row's active pairs."""
-    from tracemix.gibbs import _fixed_mask
-    M = len(Yt)
-    pair_ok = act[:, :, None] & act[:, None, :]
-    bad = ~_fixed_mask(True, M)[None] & ~pair_ok
-    moved = np.where(bad, Yt[None], 0)
-    Yp = np.where(bad, 0, Yt[None])
-    idx = np.arange(M)
-    Yp[:, idx, idx] += moved.sum(axis=2)
-    fm = _fixed_mask(False, M)[None] & pair_ok
-    return Yp, fm
+        out[stray.any(axis=(1, 2))] = -np.inf
+    return out
 
 
 def reference_sample_b(k, j, state, rng):
     """Resample dimension j's activity in cluster k from its two-way
-    conditional: the collapsed Beta-Bernoulli prior times the collapsed
-    likelihood of each side's canonical latent configuration.
-
-    Toggling re-projects the members' Y matrices: deactivation folds row and
-    column j onto the diagonals, activation leaves row j diagonal-only.
+    conditional given Y: the collapsed Beta-Bernoulli prior times the
+    collapsed likelihood of each side.  While a member's row j holds
+    off-diagonal mass, b[k, j] = 0 has probability 0: j stays active and
+    nothing is drawn.
     """
     from tracemix.gibbs import _UNIT, is_sparse, log_marginal
     if not is_sparse(state.kind):
@@ -460,23 +431,19 @@ def reference_sample_b(k, j, state, rng):
     n = len(members)
     cur = int(state.b[k, j])
     others = np.where((state.b[k] == 1) & (np.arange(M) != j))[0]
+    off = state.Y[members][:, j, :].copy()
+    off[:, j] = 0
+    if off.any():
+        return state
     x_j = state.X[members, j]
     sum_x = int(x_j.sum())
     glx = float(_UNIT.take(x_j).sum())
-    diag_mem = np.einsum("tjj->tj", state.Y[members])
 
     if cur == 1:
         s1_jj = state.S[k, j, j]
         lf1_jj = state.LF[k, j, j]
         s1_jl = state.S[k, j, others]
         lf1_jl = state.LF[k, j, others]
-        s1_ll = state.S[k, others, others]
-        lf1_ll = state.LF[k, others, others]
-        off = state.Y[members][:, j, :].copy()
-        off[:, j] = 0
-        s0_ll = s1_ll + off[:, others].sum(axis=0)
-        lf0_ll = lf1_ll + (_UNIT.take(diag_mem[:, others] + off[:, others])
-                           - _UNIT.take(diag_mem[:, others])).sum(axis=0)
         noise1 = (state.S_hat[j], state.n_hat[j], state.LF_hat[j])
         noise0 = (state.S_hat[j] + sum_x, state.n_hat[j] + n, state.LF_hat[j] + glx)
     else:
@@ -484,46 +451,22 @@ def reference_sample_b(k, j, state, rng):
         lf1_jj = glx
         s1_jl = np.zeros(len(others), dtype=np.int64)
         lf1_jl = np.zeros(len(others))
-        s1_ll = state.S[k, others, others]
-        lf1_ll = state.LF[k, others, others]
-        s0_ll = s1_ll
-        lf0_ll = lf1_ll
         noise1 = (state.S_hat[j] - sum_x, state.n_hat[j] - n, state.LF_hat[j] - glx)
         noise0 = (state.S_hat[j], state.n_hat[j], state.LF_hat[j])
+    s_ll = state.S[k, others, others]
+    lf_ll = state.LF[k, others, others]
 
     a, b = hp.a_bar, hp.b_bar
     side1 = (log_marginal(s1_jj, n, lf1_jj, a, b)
              + log_marginal(s1_jl, n, lf1_jl, a, b).sum()
-             + log_marginal(s1_ll, n, lf1_ll, a, b).sum()
+             + log_marginal(s_ll, n, lf_ll, a, b).sum()
              + log_marginal(*noise1, hp.a_hat, hp.b_hat))
-    side0 = (log_marginal(s0_ll, n, lf0_ll, a, b).sum()
+    side0 = (log_marginal(s_ll, n, lf_ll, a, b).sum()
              + log_marginal(*noise0, hp.a_hat, hp.b_hat))
     c_other = int(state.b[:, j].sum()) - cur
     side1 += np.log(c_other + hp.a_prime)
     side0 += np.log(state.K - 1 - c_other + hp.b_prime)
 
     p1 = 1.0 / (1.0 + np.exp(-(side1 - side0)))
-    new = 1 if rng.random() < p1 else 0
-    if new == cur:
-        return state
-
-    if new == 0:
-        # fold row/column j of every member onto the diagonals
-        off = state.Y[members][:, j, :].copy()
-        off[:, j] = 0
-        moved = off.sum(axis=1)
-        Ym = state.Y[members]
-        idx = np.arange(M)
-        Ym[:, idx, idx] += off
-        Ym[:, j, j] += moved
-        Ym[:, j, :][:, idx != j] = 0
-        Ym[:, :, j][:, idx != j] = 0
-        state.Y[members] = Ym
-        col_moved = off.sum(axis=0)
-        keep = idx != j
-        state.S[k, j, keep] = 0
-        state.S[k, keep, j] = 0
-        state.S[k, j, j] += int(moved.sum())
-        state.S[k, idx, idx] += col_moved * keep
-    state.b[k, j] = new
+    state.b[k, j] = 1 if rng.random() < p1 else 0
     return state

@@ -385,16 +385,23 @@ def test_sample_b_zero_dim_prefers_inactive():
 
 def test_sample_b_deactivation_matches_enumeration():
     state, X, Z, Y, b, hp = sparse_fixture()
-    # resample b[0, 1]; side 1 keeps the current latents, side 0 folds the
-    # off-diagonal mass of rows/cols 1 for cluster-0 members onto diagonals
-    Y0 = Y.copy()
-    for t in (0, 1):
-        Y0[t] = oracles.project(Y[t], [1, 0])
+    # resample b[0, 1]: both cluster-0 members hold off-diagonal mass in row
+    # 1, which an inactive dimension cannot hold, so given Y the target is a
+    # point mass at 1
+    freqs = empirical_outcomes(
+        state, lambda st, rng: gibbs.sample_b(0, 1, st, rng),
+        lambda st: (int(st.b[0, 1]), st.Y.tobytes()), n=1_000, seed=12)
+    assert freqs == {(1, Y.tobytes()): 1.0}
+    # with the members' latents on the diagonals, both values have mass and
+    # neither side changes Y
+    Yd = np.zeros_like(Y)
+    Yd[:, [0, 1], [0, 1]] = X
+    state = oracles.build_state(gibbs.SPARSE_DP_MMVP, X, Z, Yd, b, state.beta, hp)
     b1 = np.array([[1, 1], [1, 0]])
     b0 = np.array([[1, 0], [1, 0]])
-    logp1 = oracles.full_joint(X, Z, Y, b1, state.beta, hp,
+    logp1 = oracles.full_joint(X, Z, Yd, b1, state.beta, hp,
                                temporal=False, sparse=True, diag=False)
-    logp0 = oracles.full_joint(X, Z, Y0, b0, state.beta, hp,
+    logp0 = oracles.full_joint(X, Z, Yd, b0, state.beta, hp,
                                temporal=False, sparse=True, diag=False)
     probs = normalized([logp0, logp1])
     freqs = empirical_outcomes(
@@ -531,15 +538,14 @@ def test_split_merge_keeps_the_partition_posterior():
 # one composed sweep
 
 # starts and steps per gated kind: at TOL the largest cell of each target
-# (0.38 for dp-mip, 0.11 for dp-mmvp) is 3.2-4 standard errors wide.
-# sparse-dp-mmvp (4,000 draws) fails this gate: one sweep moves the cell "one
-# cluster, b = (1, 0)" from 0.043 to 0.108.  sample_b folds a deactivated
-# row of Y onto the diagonals and an activation leaves it there, and the
-# assignment step folds Y the same way, so no move restores the
-# off-diagonal mass; alone, sample_b takes that cell to 0.121 and the
-# assignment steps to 0.076, while sample_y and split-merge keep the target.
-# sweep_posterior enumerates the sparse target, so that gate is one entry.
-SWEEP_DRAWS = {gibbs.DP_MIP: 6_000, gibbs.DP_MMVP: 4_000}
+# (0.38 for dp-mip, 0.11 for dp-mmvp, 0.12 for sparse-dp-mmvp) is 3.2-4
+# standard errors wide.
+# sparse-dp-mmvp gates the assignment step's zero weight for a cluster that
+# cannot hold Y[t] and sample_b's point mass at an active dimension whose
+# row holds off-diagonal mass.  Folding Y onto the diagonals instead moves
+# the cell "one cluster, b = (1, 0), diagonal Y" from 0.043 to 0.108 in one
+# sweep.
+SWEEP_DRAWS = {gibbs.DP_MIP: 6_000, gibbs.DP_MMVP: 4_000, gibbs.SPARSE_DP_MMVP: 4_000}
 
 
 def sweep_posterior(kind, X, hp):
@@ -578,7 +584,7 @@ def test_one_sweep_keeps_the_joint_posterior(kind):
     # split-merge kernels.  beta is not part of these kinds' target.  The
     # temporal kinds are not gated: opening or closing a cluster splits or
     # folds a stick weight, so their target would have to include beta.  A
-    # dropped split-merge proposal price fails both gated kinds.
+    # dropped split-merge proposal price fails every gated kind.
     hp = Hyperparams()
     X = np.array([[2, 1], [1, 2], [3, 0]])
     configs, probs = sweep_posterior(kind, X, hp)

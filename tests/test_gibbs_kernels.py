@@ -291,7 +291,8 @@ def test_a_rejected_proposal_leaves_the_state_bit_identical(kind, monkeypatch):
 
 def aux_rows(state, rng):
     """Candidate activity rows: random ones for the sparse kinds, so that
-    some rows fold latent pairs; the one all-active row otherwise."""
+    some rows cannot hold a slice's latent pairs; the one all-active row
+    otherwise."""
     if gibbs.is_sparse(state.kind):
         return (rng.random((gibbs._N_AUX, state.M)) < 0.6).astype(np.int8)
     return np.ones((1, state.M), dtype=np.int8)
@@ -308,17 +309,14 @@ def reference_scores(t, detached, aux):
 
 
 def assert_scores_match(t, state, aux, home, detached):
-    scores, Yp, sup = gibbs._f_candidates(t, state, aux, home)
-    ref, ref_Yp = reference_scores(t, detached, aux)
-    assert scores == pytest.approx(ref, abs=1e-9, rel=0)
-    block = np.ix_(sup, sup)
-    if gibbs.is_sparse(state.kind):
-        # each projection lives on the support and equals the reference's
-        assert all(np.array_equal(Yp[r], ref_Yp[r][block]) for r in range(len(Yp)))
-        assert all(ref_Yp[r].sum() == Yp[r].sum() for r in range(len(Yp)))
-        return int(sum(not np.array_equal(Yp[r], state.Y[t][block]) for r in range(len(Yp))))
-    assert np.array_equal(Yp, ref_Yp[block])
-    return 0
+    """The scores against the reference; returns the mask of the rows that
+    cannot hold Y[t], which both score -inf."""
+    scores = gibbs._f_candidates(t, state, aux, home)
+    ref = reference_scores(t, detached, aux)
+    lost = np.isneginf(ref)
+    assert np.array_equal(np.isneginf(scores), lost)
+    assert scores[~lost] == pytest.approx(ref[~lost], abs=1e-9, rel=0)
+    return lost
 
 
 @pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
@@ -326,7 +324,7 @@ def test_support_scorer_matches_reference(kind):
     # staying slices are scored in place, detached and singleton slices
     # after they left; every state is new, so nothing cached per slice can
     # carry over from the last one.  Slice 0 has no nonzero bin at all.
-    folded = cases = 0
+    lost = cases = 0
     for seed in range(4):
         state = random_state(kind, seed=20 + seed, T=16, M=6, K=4)
         X, Y = state.X.copy(), state.Y.copy()
@@ -343,13 +341,15 @@ def test_support_scorer_matches_reference(kind):
                 staying = state.clone()
                 staying.n_k[home] -= 1
                 staying.Z[t] = -1
-                folded += assert_scores_match(t, staying, aux, home, detached)
+                assert not assert_scores_match(t, staying, aux, home, detached)[home]
             # detached, with its cluster kept even when it is empty
-            folded += assert_scores_match(t, detached, aux, None, detached)
+            mask = assert_scores_match(t, detached, aux, None, detached)
+            assert not mask[home]      # t's own cluster holds Y[t]
+            lost += mask.sum()
             cases += 1
     assert cases == 64
-    if gibbs.is_sparse(kind):
-        assert folded > 20
+    # on the sparse kinds, rows that cannot hold Y[t] are scored too
+    assert (lost > 20) == gibbs.is_sparse(kind)
 
 
 @pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
@@ -410,19 +410,23 @@ def test_the_data_is_read_only_and_the_support_tables_match_it(kind):
 
 @pytest.mark.parametrize("kind", gibbs.ALL_KINDS)
 def test_a_slice_that_stays_leaves_the_statistics_bit_identical(kind):
+    # a slice that moves leaves Y as it is too: the step is a Gibbs step
+    # given Y, which a cluster that cannot hold Y[t] never wins
     state = random_state(kind, seed=3, T=30, M=5, K=3)
     step = gibbs.sample_z_hdp if gibbs.is_temporal(kind) else gibbs.sample_z_dp
-    stayed = 0
+    stayed = moved = 0
     for t in range(state.T):
         for seed in range(6):
             st = state.clone()
             step(t, st, np.random.default_rng(seed))
+            assert st.Y.tobytes() == state.Y.tobytes()
             if st.K != state.K or st.Z[t] != state.Z[t]:
+                moved += 1
                 continue
             stayed += 1
             for name in ("Z", "Y", "S", "n_k", "n_trans", "b", "S_hat", "n_hat"):
                 assert getattr(st, name).tobytes() == getattr(state, name).tobytes(), name
-    assert stayed > 20
+    assert stayed > 20 and moved > 20
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +435,7 @@ def test_a_slice_that_stays_leaves_the_statistics_bit_identical(kind):
 @pytest.mark.parametrize("kind", [gibbs.SPARSE_DP_MMVP, gibbs.SPARSE_HMM_DP_MMVP])
 def test_sample_b_matches_the_whole_matrix_reference(kind):
     toggles = {0: 0, 1: 0}
+    held = 0
     for seed in range(3):
         state = random_state(kind, seed=30 + seed, T=24, M=5, K=3)
         for k in range(state.K):
@@ -438,6 +443,7 @@ def test_sample_b_matches_the_whole_matrix_reference(kind):
                 for draw in range(4):
                     st, ref = state.clone(), state.clone()
                     rng, ref_rng = (np.random.default_rng(100 * seed + draw) for _ in range(2))
+                    fresh = rng.bit_generator.state
                     gibbs.sample_b(k, j, st, rng)
                     oracles.reference_sample_b(k, j, ref, ref_rng)
                     for name in ("b", "Y", "S", "S_hat", "n_hat"):
@@ -445,8 +451,16 @@ def test_sample_b_matches_the_whole_matrix_reference(kind):
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
                     if st.b[k, j] != state.b[k, j]:
                         toggles[int(st.b[k, j])] += 1
+                    if state.S[k, j].sum() > state.S[k, j, j]:
+                        # off-diagonal mass in row j: a point mass at
+                        # active, so nothing moves and nothing is drawn
+                        held += 1
+                        for name in ("b", "Y", "S"):
+                            assert getattr(st, name).tobytes() == getattr(state, name).tobytes()
+                        assert rng.bit_generator.state == fresh
     # both directions: activations and deactivations
     assert min(toggles.values()) > 5
+    assert held > 20
 
 
 # ---------------------------------------------------------------------------
