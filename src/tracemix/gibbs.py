@@ -38,8 +38,8 @@ Beta-Bernoulli predictive of the other clusters (the first one the slice's
 old vector when it was alone), share the new-cluster prior weight.  The step
 is exact for any number of candidates.
 
-A candidate is scored on the slice's support alone, the upper entries among
-its nonzero bins, since every other entry of Y[t] is zero.  For
+A candidate is scored on the slice's upper support entries alone, the pairs
+j <= l of its nonzero bins, since every other upper entry of Y[t] is zero.  For
 y = 0, _log_gain is -(a + S) * log((b + n + 1) / (b + n)), so the zero
 entries of a candidate's P masked ones add up to one closed-form term in the
 masked total T of its S, which the diagonal of S and the row-sum identity
@@ -47,12 +47,13 @@ give.  A slice that is not alone stays in its cluster's sums while it is
 scored (the scorer takes it out of that row and of the noise pools), and
 the statistics move only when the draw moves it.
 
-The scorer's per-slice constants (the support, its flat indices in an M x M
-matrix, X[t] on it and the support block's masks) are read off X once per
-state, on first use, and shared by its clones and split-merge candidates.
-They never go stale: a state holds its own read-only copy of X.  The
-scorer's log(b + n) terms are lookups into the log tables of models, which
-equal the np.log calls they replace bit for bit.
+One per-slice table, the flat indices into Y of those upper entries
+(GibbsState.upper_support), is read off X once per state, on first use, and
+shared by its clones and split-merge candidates: the scorer, split-merge and
+the joint density gather Y and S on it.  It never goes stale: a state holds
+its own read-only copy of X.  The scorer's log(b + n) terms are lookups into
+the log tables of models, which equal the np.log calls they replace bit for
+bit.
 
 Every predictive the sampler evaluates, for an existing cluster, a new one,
 the noise pools or a latent pair, is a sum of _log_gain terms, the one
@@ -130,8 +131,10 @@ class GibbsState:
 
     S[k] sums the members' Y matrices; the noise pools S_hat/n_hat are read
     off it and n_k, never stored.  LF and LF_hat, the matching log(Y!)
-    sums, are recomputed from Y on each read, for checks only.  A state is
-    single-owner: updates mutate it in place.
+    sums, are recomputed from Y on each read, for checks only.
+    upper_support and upper_offsets, the one per-slice table, are read off
+    X on first use and shared with clones.  A state is single-owner:
+    updates mutate it in place.
     moves tallies the split-merge proposals by outcome and the clusters the
     assignment step opens and closes (MOVE_COUNTS) for the diagnostics; it
     is not part of the sampled state.
@@ -141,7 +144,7 @@ class GibbsState:
         check_kind(kind)
         self.kind = kind
         self.hp = hp
-        # a read-only copy, so the support tables read off it cannot go
+        # a read-only copy, so the support table read off it cannot go
         # stale; the caller's array stays writable
         self.X = np.array(X, dtype=np.int64)
         self.X.flags.writeable = False
@@ -166,25 +169,20 @@ class GibbsState:
         return self.X.shape[1]
 
     @functools.cached_property
-    def support(self):
-        """The _Support tables of every slice, built from X on first use."""
-        return _support_tables(self.X)
-
-    @functools.cached_property
     def upper_support(self):
-        """Flat indices into Y of every slice's upper support entries: the
-        only entries on or above the diagonal that can be nonzero (on the
-        diagonal kinds, the diagonal ones).  Slice t's entries are
+        """Flat indices into Y of every slice's upper support entries, the
+        pairs j <= l of its nonzero bins (j == l on the diagonal kinds): the
+        only entries on or above the diagonal that can be nonzero.  Slice
+        t's entries, in row-major order, are
         upper_support[upper_offsets[t]:upper_offsets[t + 1]]."""
-        M2 = self.M * self.M
-        keep = "diag" if is_diagonal(self.kind) else "upper"
-        return np.concatenate([t * M2 + tab.flat.compress(getattr(tab, keep))
-                               for t, tab in enumerate(self.support)])
+        nz = self.X > 0
+        return np.flatnonzero(nz[:, :, None] & nz[:, None, :]
+                              & _fixed_mask(is_diagonal(self.kind), self.M))
 
     @functools.cached_property
     def upper_offsets(self):
         """The T + 1 offsets of the slices' runs in upper_support."""
-        s = np.array([len(tab.sup) for tab in self.support], dtype=np.int64)
+        s = np.count_nonzero(self.X, axis=1)
         return np.concatenate(([0], np.cumsum(s if is_diagonal(self.kind)
                                               else s * (s + 1) // 2)))
 
@@ -280,34 +278,6 @@ def _fixed_mask(diagonal, M):
     return mask
 
 
-# Per-slice constants of the assignment step, read off X: the nonzero bins
-# of X[t], the flat indices of their s x s block in an M x M matrix
-# (row-major) and X[t] on the bins; then the _block_masks of size s.
-_Support = collections.namedtuple("_Support", "sup flat x_sup rows cols diag upper")
-
-
-def _support_tables(X):
-    """The _Support of every slice of X."""
-    M = X.shape[1]
-    out = []
-    for x in X:
-        sup = np.flatnonzero(x)
-        out.append(_Support(sup, (sup[:, None] * M + sup).ravel(), x[sup],
-                            *_block_masks(len(sup))))
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _block_masks(s):
-    """Over a flattened s x s block, as integers shared read-only: each
-    entry's row and column, and the diagonal and upper-triangle masks."""
-    j, l = np.indices((s, s)).reshape(2, -1)
-    out = (j, l, (j == l).astype(np.int64), (j <= l).astype(np.int64))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _count_weights(diagonal, M, a):
     """The scorer's constant weights: over a flattened M x M matrix, 2 on
@@ -392,24 +362,26 @@ def _f_candidates(t, state, aux, home=None):
     """Log predictive of slice t joining each of the K clusters and each
     empty candidate with an activity row of aux: the change of every active
     collapsed factor on Y[t], plus for sparse kinds the noise factors of its
-    inactive dimensions, scored on the nonzero bins sup of X[t] (module
-    docstring).  A sparse row whose active set misses a dimension that holds
-    off-diagonal mass of Y[t] cannot hold Y[t] and scores -inf.  With home
-    given, t's Y is still in S[home]; n_k must not count it."""
+    inactive dimensions.  Each row is scored on the slice's upper support
+    entries (module docstring), on the sparse kinds on those whose two
+    dimensions are both active.  A sparse row whose active set misses a bin
+    j that holds off-diagonal mass of Y[t], X[t, j] > Y[t, j, j], cannot
+    hold Y[t] and scores -inf.  With home given, t's Y is still in S[home];
+    n_k must not count it."""
     hp, kind = state.hp, state.kind
     sparse = is_sparse(kind)
     K, M, S = state.K, state.M, state.S
-    sup, flat, x_sup, rows, cols, dm, um = state.support[t]
-    s = len(sup)
     a = hp.a_bar
     twice_diag, ones, a_factors = _count_weights(is_diagonal(kind), M, a)
     act = np.concatenate((state.b, aux), dtype=np.int64)
     R = len(act)
     n = np.concatenate((state.n_k, np.zeros(len(aux), dtype=np.int64)))
-    # the support blocks, flattened: rows of s * s entries
+    # the upper support entries, flat in an M x M matrix, and S on them
+    offs = state.upper_offsets
+    flat = state.upper_support[offs[t]:offs[t + 1]] - t * M * M
     Ys = state.Y[t].take(flat)
     Sf = S.reshape(K, M * M)
-    Ss = np.zeros((R, s * s), dtype=np.int64)
+    Ss = np.zeros((R, len(flat)), dtype=np.int64)
     Sf.take(flat, axis=1, out=Ss[:K], mode="clip")
     # masked totals by the row-sum identity: off-diagonal mass sits only
     # between active dimensions, and half of it above the diagonal
@@ -418,19 +390,17 @@ def _f_candidates(t, state, aux, home=None):
         off = 1 - act
         diag_off = Sf[:, ::M + 1] * off[:K]
         T -= diag_off @ ones
-        on = act.take(sup, axis=1)
-        fm = on.take(rows, axis=1) & on.take(cols, axis=1) & um
-    else:
-        fm = dm if is_diagonal(kind) else um
+        rows, cols = np.divmod(flat, M)
+        fm = act.take(rows, axis=1) & act.take(cols, axis=1)
     if home is not None:
         Ss[home] -= Ys
-        T[home] -= Ys @ (fm[home] if sparse else fm)
+        T[home] -= Ys @ fm[home] if sparse else np.add.reduce(Ys)
     log_n1, log_n = _log_grid(hp.b_bar + 1.0).take(n), _log_grid(hp.b_bar).take(n)
     g = _grid(a)
     gain = g.take(Ss + Ys) - g.take(Ss) - Ys * log_n1[:, None] - _UNIT.take(Ys)
     aPT = a_factors.take(act @ ones)
     aPT[:K] += T
-    out = np.add.reduce(gain * fm, 1) - aPT * (log_n1 - log_n)
+    out = np.add.reduce(gain * fm if sparse else gain, 1) - aPT * (log_n1 - log_n)
     if sparse:
         # per-dimension noise predictive is cluster-independent; n_k leaves
         # t out, S[home] holds it, with diagonal X[t] where home is inactive
@@ -440,7 +410,7 @@ def _f_candidates(t, state, aux, home=None):
             S_hat -= x * off[home]
         out += off @ _log_gain(S_hat, n @ off, x, hp.a_hat, hp.b_hat)
         # the bins whose row of Y[t] holds off-diagonal mass, by the row sums
-        out[(1 - on) @ (x_sup > Ys[::s + 1]) > 0] = -np.inf
+        out[off @ (x > state.Y[t].diagonal()) > 0] = -np.inf
     return out
 
 
@@ -957,7 +927,7 @@ def active_pairs(state, k):
 def _live_pairs(state, t):
     """The active pairs of slice t whose two counts are both nonzero: the
     only ones whose conditional is not a point mass (module docstring)."""
-    return _pairs_among(state, int(state.Z[t]), state.support[t].sup.tolist())
+    return _pairs_among(state, int(state.Z[t]), state.X[t].nonzero()[0].tolist())
 
 
 @dataclass

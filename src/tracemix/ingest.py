@@ -257,6 +257,9 @@ class CountVectorSequence:
             raise ValueError("X must be a T x M array")
         if len(self.A) != self.X.shape[0]:
             raise ValueError("X and A must have the same length")
+        if self.X.shape[1] != self.config.M:
+            raise ValueError(f"X has {self.X.shape[1]} columns but the binning has "
+                             f"M = {self.config.M}")
         if np.any(self.X < 0):
             raise ValueError("counts must be non-negative")
 

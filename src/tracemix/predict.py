@@ -6,7 +6,7 @@ per-coordinate Poisson mode, i.e. the floored mean) to pick the state whose
 raw accesses get preloaded.
 """
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -220,6 +220,9 @@ def load_model(path):
     with load_npz(path) as z:
         if int(z["version"]) != MODEL_VERSION:
             raise ConfigError(f"unsupported model version {int(z['version'])}")
+        if z["hp"].shape != (len(fields(Hyperparams)),):
+            raise ValueError(f"hp of shape {z['hp'].shape} does not hold the "
+                             f"{len(fields(Hyperparams))} hyperparameters")
         hp = Hyperparams(*(float(v) for v in z["hp"]))
         model = FittedModel(
             K=int(z["K"]), pi=z["pi"], pi0=z["pi0"], mu=z["mu"],

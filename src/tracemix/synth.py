@@ -135,9 +135,10 @@ def gen_block_trace(spec: SynthSpec, rng=None) -> Trace:
 
 def write_trace_csv(trace: Trace, path):
     """Dump a trace in the plain CSV format the parser consumes."""
+    ops = ["read" if r else "write" for r in trace.is_read.tolist()]
     with open(path, "w") as fh:
-        for e in trace:
-            fh.write(f"{e.timestamp:.6f},{e.op},{e.offset},{e.size}\n")
+        fh.writelines(f"{ts:.6f},{op},{offset},{size}\n" for ts, op, offset, size in zip(
+            trace.timestamp.tolist(), ops, trace.offset.tolist(), trace.size.tolist()))
 
 
 def default_recovery_spec(seed=0) -> SynthSpec:

@@ -5,9 +5,12 @@ trees, or two runs of one tree, can be compared for byte-identical outputs.
 
 For each seed and each workload of perfbench/workloads.py, the inputs are
 prepared there and the workload's commands run in this process through
-cli.main, with --preload-log added to simulate.  One line per file, in a
-fixed order: workload, seed, file name, digest.  The generated trace is the
-input and is not listed.
+cli.main, with --preload-log added to simulate.  Each recover-dense artifact
+is also fitted and evaluated, with the workload's budget, under the kinds
+that no workload fits (EXTRA_KINDS), so every kind's outputs are listed; their
+files are named after the kind.  One line per file, in a fixed order:
+workload, seed, file name, digest.  The generated trace is the input and is
+not listed.
 
 An .npz is hashed member by member (name, dtype, shape, bytes), so the zip
 timestamps do not count.  A CSV is hashed without its wall_clock column and
@@ -30,6 +33,8 @@ from tracemix import cli  # noqa: E402
 
 import workloads  # noqa: E402
 
+EXTRA_KINDS = ("dp-mip", "hmm-dp-mmvp", "sparse-dp-mmvp")
+
 
 def digest(path, work):
     """sha256 of one output file of a run in the directory work."""
@@ -51,20 +56,33 @@ def digest(path, work):
     return h.hexdigest()
 
 
+def run_commands(label, argvs, work):
+    """Run argvs in the directory work; stops the script when one fails."""
+    for argv in argvs:
+        if argv[0] == "simulate":
+            argv = argv + ["--preload-log", str(work / "preload.log")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != cli.EXIT_OK:
+            raise SystemExit(f"{label}: {argv[0]} exited with {code}")
+
+
 def run(name, seed):
     """The digest lines of one workload at one seed."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         prep = workloads.WORKLOADS[name](seed, work)
         inputs = set(work.iterdir())
-        for argv in prep.argvs:
-            if argv[0] == "simulate":
-                argv = argv + ["--preload-log", str(work / "preload.log")]
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
-            if code != cli.EXIT_OK:
-                raise SystemExit(f"{name} seed {seed}: {argv[0]} exited with {code}")
+        run_commands(f"{name} seed {seed}", prep.argvs, work)
         files = sorted(p for p in work.iterdir() if p not in inputs or p == prep.artifact)
+        if name == "recover-dense":
+            for kind in EXTRA_KINDS:
+                outs = {field: work / f"{kind}-{getattr(prep, field).name}"
+                        for field in ("model", "eval_out", "diagnostics")}
+                run_commands(f"{name} seed {seed} {kind}", workloads._fit_eval(
+                    dict(outs, artifact=prep.artifact), kind, prep.params["iters"],
+                    prep.params["burn_in"], seed), work)
+                files += sorted(outs.values())
         return [f"{name} {seed} {p.name} {digest(p, work)}" for p in files]
 
 

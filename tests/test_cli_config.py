@@ -97,6 +97,21 @@ def test_fit_rejects_an_artifact_without_a_field(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_rejects_an_artifact_whose_counts_miss_a_bin(tmp_path, capsys):
+    # nine columns of counts under a ten-bin binning
+    artifact, out = tmp_path / "counts.npz", tmp_path / "m.npz"
+    save_counts(artifact, M=10)
+    with np.load(artifact) as z:
+        fields = dict(z)
+    fields["X"] = fields["X"][:, :9]
+    np.savez(artifact, **fields)
+    code = cli.main(["fit", "--artifact", str(artifact), "--out", str(out),
+                     "--iters", "2", "--burn-in", "1"])
+    assert code == cli.EXIT_CONFIG
+    assert "config error: X has 9 columns but the binning has M = 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_a_model_without_a_field(tmp_path, capsys):
     model, trace = tmp_path / "m.npz", tmp_path / "trace.csv"
     save_one_cluster_model(model, M=2)

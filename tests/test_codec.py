@@ -129,13 +129,15 @@ def test_simulate_rejects_corrupt_model_sets(tmp_path, capsys, case):
     assert f"map_{CORRUPT[case][2]}" in capsys.readouterr().err
 
 
-# rows that still sum to 1, a mean table one row too long, and a kind no
-# sampler fits
+# rows that still sum to 1, a mean table one row too long, a kind no
+# sampler fits, and one hyperparameter too few, which would leave the last
+# one at its default
 TAMPERED = {
     "pi": np.tile([1.5, -0.5, 0.0], (3, 1)),
     "pi0": np.array([1.5, -0.5, 0.0]),
     "mu": np.ones((4, 2)),
     "kind": np.array("no-such-kind"),
+    "hp": np.ones(7),
 }
 
 

@@ -308,6 +308,13 @@ def test_generated_trace_rows_match_columns_and_round_trip(tmp_path):
     assert np.array_equal(back.offset, trace.offset)
     assert np.array_equal(back.size, trace.size)
     assert back.block_size == trace.block_size
+    # write rows are written as such, and every row is exactly its columns
+    mixed = trace_of([(3.0, "read", 0, 4096), (4.25, "write", 4095, 2),
+                      (5.0000004, "write", 8192, 512)])
+    synth.write_trace_csv(mixed, path)
+    assert path.read_text() == ("3.000000,read,0,4096\n4.250000,write,4095,2\n"
+                                "5.000000,write,8192,512\n")
+    assert parse_trace(path, format_id="plain").is_read.tolist() == [True, False, False]
 
 
 @pytest.mark.parametrize("M, lo, hi", [(10, 0, 10_000_000), (7, 10, 100),
