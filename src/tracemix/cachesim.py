@@ -45,27 +45,15 @@ class LRUCache:
     def __len__(self):
         return len(self._blocks)
 
-    def __contains__(self, block):
-        return block in self._blocks
-
-    def insert(self, block):
-        """Place a block without recording a hit or miss."""
-        if block in self._blocks:
-            self._blocks.move_to_end(block)
-            return
-        if len(self._blocks) >= self.capacity:
-            self._blocks.popitem(last=False)
-        self._blocks[block] = None
-
     def insert_distinct(self, blocks):
-        """insert() each of a sequence of distinct blocks in turn.  When there
-        are at least capacity of them, the last capacity blocks make up the
-        whole cache afterwards, least recent first, so only they are placed."""
+        """Place a sequence of distinct blocks in turn, as access_all does but
+        without counting hits.  When there are at least capacity of them, the
+        last capacity blocks make up the whole cache afterwards, least recent
+        first, so only they are placed."""
         if len(blocks) >= self.capacity:
             self._blocks = OrderedDict.fromkeys(blocks[len(blocks) - self.capacity:])
             return
-        for block in blocks:
-            self.insert(block)
+        self.access_all(blocks)
 
     def access_all(self, blocks, outcomes=None) -> int:
         """Service each block's request in turn: a hit refreshes its recency,
@@ -89,23 +77,19 @@ class LRUCache:
 
 @dataclass
 class SimReport:
-    """Hit/miss accounting of one simulator run."""
+    """Hit/miss accounting of one simulator run; the hit rate is derived from
+    the counts (0 when no block was requested)."""
 
     hits: int
     misses: int
-    hitrate: float
     preload_volumes: list = field(default_factory=list)
     wall_clock: float = 0.0
     outcomes: list = None  # optional per-request hit/miss sequence
 
-    @classmethod
-    def from_counts(cls, hits, misses, preload_volumes=None, wall_clock=0.0,
-                    outcomes=None):
-        total = hits + misses
-        return cls(hits=hits, misses=misses,
-                   hitrate=hits / total if total else 0.0,
-                   preload_volumes=preload_volumes or [],
-                   wall_clock=wall_clock, outcomes=outcomes)
+    @property
+    def hitrate(self):
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     def summary(self):
         return (f"requests={self.hits + self.misses} hits={self.hits} "
@@ -144,9 +128,8 @@ def simulate_baseline(trace: Trace, capacity, record_outcomes=False) -> SimRepor
         ids = rows.reads().block_ids()[0].tolist()
         hits += cache.access_all(ids, outcomes)
         blocks += len(ids)
-    return SimReport.from_counts(hits, blocks - hits,
-                                 wall_clock=time.monotonic() - started,
-                                 outcomes=outcomes)
+    return SimReport(hits, blocks - hits, wall_clock=time.monotonic() - started,
+                     outcomes=outcomes)
 
 
 def simulate_preloading(trace: Trace, model, access_map, binning: BinningConfig,
@@ -191,7 +174,5 @@ def simulate_preloading(trace: Trace, model, access_map, binning: BinningConfig,
             if first + i + 1 < n_slices:
                 predict.decoder_observe(decoder, model, X[i])
                 preload()
-    return SimReport.from_counts(hits, n_blocks - hits,
-                                 preload_volumes=preload_volumes,
-                                 wall_clock=time.monotonic() - started,
-                                 outcomes=outcomes)
+    return SimReport(hits, n_blocks - hits, preload_volumes,
+                     wall_clock=time.monotonic() - started, outcomes=outcomes)

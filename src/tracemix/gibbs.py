@@ -245,7 +245,7 @@ def _count_transitions(Z, K):
     return n_trans
 
 
-def init_state(data, kind, hp, rng):
+def init_state(data, kind, hp):
     """Start from one cluster, diagonal Y (so row sums hold by construction)
     and activity set by thresholding the empirical bin means."""
     check_kind(kind)
@@ -973,7 +973,7 @@ def run_gibbs(data, kind, hp=None, cfg=None):
     hp = hp if hp is not None else Hyperparams()
     cfg = cfg if cfg is not None else FitConfig()
     rng = np.random.default_rng(cfg.seed)
-    state = init_state(data, kind, hp, rng)
+    state = init_state(data, kind, hp)
     samples = []
     diag = Diagnostics()
     started = time.monotonic()
@@ -1007,12 +1007,9 @@ def heldout_loglik(model, data):
     if X.shape[0] == 0:
         return 0.0
     emis = log_poisson(X[:, None], model.mu)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.pi)
-        log_pi0 = np.log(model.pi0)
-    fwd = log_pi0 + emis[0]
+    fwd = model.log_pi0 + emis[0]
     for t in range(1, X.shape[0]):
-        fwd = _log_sum_exp(fwd[:, None] + log_pi) + emis[t]
+        fwd = _log_sum_exp(fwd[:, None] + model.log_pi) + emis[t]
     return float(_log_sum_exp(fwd))
 
 

@@ -131,8 +131,8 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("a_bar", "b_bar", "a_hat", "b_hat",
                      "a_prime", "b_prime", "alpha", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"hyperparameter {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"hyperparameter {name} must be positive and finite")
 
 
 @dataclass(frozen=True)

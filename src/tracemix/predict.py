@@ -33,24 +33,32 @@ class FittedModel:
     b: np.ndarray           # (K, M) activity point estimates
     hp: Hyperparams
     kind: str
+    # per-model tables of the decoder and the held-out score, built once
+    log_pi: np.ndarray = field(init=False, repr=False)       # (K, K), -inf where pi is 0
+    log_pi0: np.ndarray = field(init=False, repr=False)      # (K,)
+    mode_scores: np.ndarray = field(init=False, repr=False)  # (K,) log pmf of floor(mu[k])
 
     def __post_init__(self):
         check_kind(self.kind)
-        self.pi = np.asarray(self.pi, dtype=float)
-        self.pi0 = np.asarray(self.pi0, dtype=float)
-        self.mu = np.asarray(self.mu, dtype=float)
-        K = self.K
-        for name, fits in (("pi", self.pi.shape == (K, K)), ("pi0", self.pi0.shape == (K,)),
-                           ("mu", self.mu.ndim == 2 and len(self.mu) == K)):
-            v = getattr(self, name)
-            if not fits:
-                raise ValueError(f"{name} of shape {v.shape} does not fit K = {K}")
+        K, M = self.K, np.shape(self.mu)[-1:]  # (M,), or () when mu is a scalar
+        for name, shape in (("pi", (K, K)), ("pi0", (K,)), ("mu", (K, *M)),
+                            ("Lambda", (K, *M, *M)), ("lambda_hat", M), ("b", (K, *M))):
+            v = np.asarray(getattr(self, name), dtype=None if name == "b" else float)
+            setattr(self, name, v)
+            if v.shape != shape:
+                raise ValueError(f"{name} of shape {v.shape} does not fit K = {K}: "
+                                 f"want {shape}")
+            if name == "b" and not np.isin(v, (0, 1)).all():
+                raise ValueError("b must hold only 0 and 1")
             if not np.all(np.isfinite(v) & (v >= 0)):
                 raise ValueError(f"{name} must be finite and non-negative")
         if not np.allclose(self.pi.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("pi rows must sum to 1")
         if not np.isclose(self.pi0.sum(), 1.0, atol=1e-9):
             raise ValueError("pi0 must sum to 1")
+        with np.errstate(divide="ignore"):
+            self.log_pi, self.log_pi0 = np.log(self.pi), np.log(self.pi0)
+        self.mode_scores = log_poisson(np.floor(self.mu), self.mu)
 
     @property
     def M(self):
@@ -103,12 +111,9 @@ def estimate_params(samples) -> FittedModel:
         b_pt = np.ones((K, M), dtype=np.int8)
 
     lam = (hp.a_bar + final.S.astype(float)) / (hp.b_bar + final.n_k.astype(float)[:, None, None])
+    mask = (b_pt[:, :, None] & b_pt[:, None, :]).astype(bool)
     if is_diagonal(kind):
-        mask = np.broadcast_to(np.eye(M, dtype=bool), lam.shape)
-    elif is_sparse(kind):
-        mask = np.stack([np.outer(r, r).astype(bool) for r in b_pt])
-    else:
-        mask = np.ones(lam.shape, dtype=bool)
+        mask &= np.eye(M, dtype=bool)
     lam = np.where(mask, lam, 0.0)
 
     lam_hat = (hp.a_hat + final.S_hat.astype(float)) / (hp.b_hat + final.n_hat.astype(float))
@@ -147,18 +152,18 @@ def new_decoder(model: FittedModel) -> DecoderState:
 
 
 def decoder_observe(state: DecoderState, model: FittedModel, x) -> DecoderState:
-    """Absorb one observed slice: standard Viterbi update in log space.
-    Argmax ties break toward the lowest cluster index."""
+    """Absorb one observed slice: standard Viterbi update in log space, over
+    the model's log_pi and log_pi0 tables.  Argmax ties break toward the
+    lowest cluster index."""
     emis = log_poisson(x, model.mu)
-    with np.errstate(divide="ignore"):
-        if state.t == 0:
-            state.omega = np.log(model.pi0) + emis
-            state.psi.append(np.zeros(model.K, dtype=np.int64))
-        else:
-            scores = state.omega[:, None] + np.log(model.pi)
-            best = np.argmax(scores, axis=0)
-            state.omega = scores[best, np.arange(model.K)] + emis
-            state.psi.append(best)
+    if state.t == 0:
+        state.omega = model.log_pi0 + emis
+        state.psi.append(np.zeros(model.K, dtype=np.int64))
+    else:
+        scores = state.omega[:, None] + model.log_pi
+        best = np.argmax(scores, axis=0)
+        state.omega = scores[best, np.arange(model.K)] + emis
+        state.psi.append(best)
     state.t += 1
     return state
 
@@ -166,13 +171,12 @@ def decoder_observe(state: DecoderState, model: FittedModel, x) -> DecoderState:
 def decoder_predict_next(state: DecoderState, model: FittedModel) -> int:
     """Most likely next cluster before its emission is observed: the next
     emission is replaced by each cluster's own modal count vector (the floored
-    mean, where the Poisson pmf peaks)."""
-    mode_scores = log_poisson(np.floor(model.mu), model.mu)
-    with np.errstate(divide="ignore"):
-        if state.t == 0:
-            w = np.log(model.pi0) + mode_scores
-        else:
-            w = np.max(state.omega[:, None] + np.log(model.pi), axis=0) + mode_scores
+    mean, where the Poisson pmf peaks), whose scores the model holds in
+    mode_scores."""
+    if state.t == 0:
+        w = model.log_pi0 + model.mode_scores
+    else:
+        w = np.max(state.omega[:, None] + model.log_pi, axis=0) + model.mode_scores
     return int(np.argmax(w))
 
 

@@ -98,7 +98,7 @@ def test_insert_distinct_leaves_what_one_by_one_inserts_leave(n):
         for b in (blocks[0], 77, 78, blocks[-1]):
             cache.access_all((b,))
     for b in blocks:
-        full.insert(b)
+        full.access_all((b,))
     cut.insert_distinct(blocks)
     assert list(cut._blocks) == list(full._blocks)
 

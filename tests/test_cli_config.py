@@ -186,6 +186,50 @@ def test_aggregate_needs_two_read_slices(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_aggregate_needs_reads(tmp_path, capsys):
+    trace, out = tmp_path / "trace.csv", tmp_path / "counts.npz"
+    trace.write_text("0.0,write,0,4096\n45.0,write,8192,4096\n")
+    code = cli.main(["aggregate", "--format", "plain", "--trace", str(trace),
+                     "--out", str(out)])
+    assert code == cli.EXIT_PARSE
+    assert capsys.readouterr().err == "trace error: no reads to infer an address range from\n"
+    assert not out.exists()
+
+
+def set_field(path, name, value):
+    with np.load(path) as z:
+        fields = dict(z)
+    fields[name] = value
+    np.savez(path, **fields)
+
+
+@pytest.mark.parametrize("kind", ["artifact", "model"])
+def test_a_file_of_another_version_is_refused(tmp_path, capsys, kind):
+    artifact, model = tmp_path / "counts.npz", tmp_path / "m.npz"
+    save_counts(artifact)
+    save_one_cluster_model(model, M=2)
+    set_field(artifact if kind == "artifact" else model, "version", np.int64(2))
+    code = cli.main(["eval", "--artifact", str(artifact), "--models", str(model)])
+    assert code == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.err == f"config error: unsupported {kind} version 2\n"
+    assert out.out == ""
+
+
+# a float copy of the ids, and the ids as one column
+@pytest.mark.parametrize("flat", [np.arange(8, dtype=np.float64),
+                                  np.arange(8, dtype=np.int64).reshape(8, 1)])
+def test_fit_rejects_block_ids_that_are_not_one_int64_array(tmp_path, capsys, flat):
+    artifact, out = tmp_path / "counts.npz", tmp_path / "m.npz"
+    save_counts(artifact)
+    set_field(artifact, "A_flat", flat)
+    code = cli.main(["fit", "--artifact", str(artifact), "--out", str(out),
+                     "--iters", "2", "--burn-in", "1"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: A_flat must be a 1-D int64 array\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("secs", ["0", "-30", "nan", "inf"])
 def test_aggregate_rejects_a_slice_length_that_is_not_finite_and_positive(
         tmp_path, capsys, secs):
@@ -273,6 +317,15 @@ def config_run_argv(tmp_path, command):
     trace = tmp_path / "trace.csv"
     trace.write_text("".join(f"{t}.0,read,{t * 4096},4096\n" for t in range(0, 120, 7)))
     return ["aggregate", "--trace", str(trace), "--out", str(tmp_path / "out.npz")]
+
+
+def test_a_config_file_with_an_unknown_key_is_refused(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "plain", "bogus": 1, "iter": 3}))
+    code = cli.main(["--config", str(config)] + config_run_argv(tmp_path, "aggregate"))
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown config keys: ['bogus', 'iter']\n"
+    assert not (tmp_path / "out.npz").exists()
 
 
 # each value has the wrong type for its key: a string or float for an int,

@@ -130,21 +130,24 @@ def test_simulate_rejects_corrupt_model_sets(tmp_path, capsys, case):
 
 
 # rows that still sum to 1, a mean table one row too long, a kind no
-# sampler fits, and one hyperparameter too few, which would leave the last
-# one at its default
+# sampler fits, one hyperparameter too few, which would leave the last one
+# at its default, and rate and activity tables that fit neither K = 3 nor
+# M = 2
 TAMPERED = {
     "pi": np.tile([1.5, -0.5, 0.0], (3, 1)),
     "pi0": np.array([1.5, -0.5, 0.0]),
     "mu": np.ones((4, 2)),
     "kind": np.array("no-such-kind"),
     "hp": np.ones(7),
+    "Lambda": np.zeros((5, 7, 7)),
+    "lambda_hat": np.ones(9),
+    "b": np.ones((1, 1), dtype=np.int8),
 }
 
 
-@pytest.mark.parametrize("command", ["eval", "simulate"])
-@pytest.mark.parametrize("field", TAMPERED)
-def test_a_tampered_model_is_a_config_error_naming_its_field(tmp_path, capsys,
-                                                             field, command):
+def run_on_tampered_model(tmp_path, command, field, value):
+    """Exit code of eval or simulate on the toy model's file with field
+    replaced by value."""
     artifact, trace, model = tmp_path / "a.npz", tmp_path / "trace.csv", tmp_path / "m.npz"
     ingest.save_artifact(CountVectorSequence(np.arange(10).reshape(5, 2), SETS,
                                              BINNING), artifact)
@@ -153,14 +156,35 @@ def test_a_tampered_model_is_a_config_error_naming_its_field(tmp_path, capsys,
                        BINNING, model)
     with np.load(model) as z:
         fields = dict(z)
-    fields[field] = TAMPERED[field]
+    fields[field] = value
     np.savez(model, **fields)
     argv = {"eval": ["eval", "--artifact", str(artifact), "--models", str(model)],
             "simulate": ["simulate", "--trace", str(trace), "--model", str(model),
                          "--format", "plain", "--slice-secs", "30"]}[command]
+    return cli.main(argv)
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("field", TAMPERED)
+def test_a_tampered_model_is_a_config_error_naming_its_field(tmp_path, capsys,
+                                                             field, command):
     capsys.readouterr()
-    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert run_on_tampered_model(tmp_path, command, field,
+                                 TAMPERED[field]) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
     assert err.startswith(f"config error: {field} ")
     assert field != "kind" or "'no-such-kind'" in err
+    assert out == ""
+
+
+def test_a_hyperparameter_that_is_not_a_positive_finite_number_is_refused(
+        tmp_path, capsys):
+    for value in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="a_bar must be positive and finite"):
+            Hyperparams(a_bar=value)
+    capsys.readouterr()
+    hp = np.array([1.0, 1.0, 1.0, 10.0, 1.0, 1.0, float("nan"), 1.0])
+    assert run_on_tampered_model(tmp_path, "eval", "hp", hp) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: hyperparameter alpha must be positive and finite")
     assert out == ""

@@ -52,7 +52,7 @@ def test_invariants_after_every_update(kind, sweeps):
     data = fuzz_data(seed=3)
     hp = Hyperparams()
     rng = np.random.default_rng(17)
-    state = gibbs.init_state(data, kind, hp, rng)
+    state = gibbs.init_state(data, kind, hp)
     assert_invariants(state)
     step_z = gibbs.sample_z_hdp if gibbs.is_temporal(kind) else gibbs.sample_z_dp
     for sweep in range(sweeps):
@@ -147,8 +147,7 @@ def test_init_state_zero_data():
     cfg = BinningConfig(M=2, lba_lo=0, lba_hi=100, nu=1.0)
     data = CountVectorSequence(np.zeros((3, 2), dtype=np.int64),
                                [np.zeros(0, dtype=np.int64)] * 3, cfg)
-    state = gibbs.init_state(data, gibbs.SPARSE_DP_MMVP, Hyperparams(),
-                             np.random.default_rng(0))
+    state = gibbs.init_state(data, gibbs.SPARSE_DP_MMVP, Hyperparams())
     assert state.K == 1
     assert state.S.sum() == 0 and state.S_hat.sum() == 0
     assert_invariants(state)
@@ -156,8 +155,7 @@ def test_init_state_zero_data():
 
 def test_init_state_row_sums_by_construction():
     data = fuzz_data(T=15, seed=9)
-    state = gibbs.init_state(data, gibbs.HMM_DP_MMVP, Hyperparams(),
-                             np.random.default_rng(1))
+    state = gibbs.init_state(data, gibbs.HMM_DP_MMVP, Hyperparams())
     assert np.array_equal(state.Y.sum(axis=2), state.X)
     ref = gibbs.recompute_stats(state)
     assert np.array_equal(state.S, ref[1])

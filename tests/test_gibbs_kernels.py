@@ -382,7 +382,7 @@ def test_the_data_is_read_only_and_the_support_tables_match_it(kind):
     # the scorer's per-slice tables are read off X once per state and shared
     # by its clones, so no state may write X
     X = random_state(kind, seed=9, T=30, M=5).X.copy()
-    state = gibbs.init_state(X, kind, Hyperparams(), np.random.default_rng(0))
+    state = gibbs.init_state(X, kind, Hyperparams())
     for st in (state, state.clone()):
         with pytest.raises(ValueError):
             st.X[0, 0] = 7

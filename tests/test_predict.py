@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,18 @@ def toy_model(K=3, M=2, seed=0, kind=gibbs.HMM_DP_MMVP):
                        Lambda=np.zeros((K, M, M)), lambda_hat=np.zeros(M),
                        b=np.ones((K, M), dtype=np.int8),
                        hp=Hyperparams(), kind=kind)
+
+
+# rates with a NaN, a negative noise rate and an activity of 2, each in a
+# table of the right shape
+@pytest.mark.parametrize("field, value, message", [
+    ("Lambda", np.full((3, 2, 2), np.nan), "Lambda must be finite and non-negative"),
+    ("lambda_hat", -np.ones(2), "lambda_hat must be finite and non-negative"),
+    ("b", np.full((3, 2), 2, dtype=np.int8), "b must hold only 0 and 1")],
+    ids=["Lambda", "lambda_hat", "b"])
+def test_a_model_refuses_rates_and_activity_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        replace(toy_model(), **{field: value})
 
 
 # ---------------------------------------------------------------------------
